@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "p_mux_single",
+    "check_probability",
     "binom_tail",
     "poisson_pmf",
     "poisson_tail",
@@ -43,18 +44,19 @@ def p_mux_single(n_sources: int, p: float) -> float:
     """Probability that an n-to-1 mux has at least one photon to select."""
     if n_sources < 0:
         raise ValueError("n_sources must be >= 0")
-    _check_prob(p)
+    check_probability(p)
     return -math.expm1(n_sources * math.log1p(-p)) if p < 1.0 else (1.0 if n_sources else 0.0)
 
 
-def _check_prob(p: float) -> None:
+def check_probability(p: float) -> None:
+    """Raise ValueError unless 0 <= p <= 1 (NaN is rejected too)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability out of [0, 1]")
 
 
 def binom_tail(n: int, p: float, m: int) -> float:
     """P[Binomial(n, p) >= m], summed from the smaller tail with fsum."""
-    _check_prob(p)
+    check_probability(p)
     if m <= 0:
         return 1.0
     if m > n:
@@ -84,7 +86,7 @@ def naive_group_pmux(n_sources: int, p: float, m: int) -> float:
     """All m branch muxes fire, sources split as evenly as possible."""
     if m < 1 or n_sources < m:
         raise ValueError("need n_sources >= m >= 1")
-    _check_prob(p)
+    check_probability(p)
     base, extra = divmod(n_sources, m)
     sizes = [base + 1] * extra + [base] * (m - extra)
     out = 1.0
@@ -97,7 +99,7 @@ def optimal_group_pmux(n_sources: int, p: float, m: int) -> float:
     """Any m of the n sources fire: requires a switch network routing any pattern."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_prob(p)
+    check_probability(p)
     return binom_tail(n_sources, p, m)
 
 
@@ -108,7 +110,7 @@ def required_sources_ratio(p: float, target: float, m: int) -> tuple[int, int, f
     naive_group_pmux >= target, minimal n with optimal_group_pmux >= target,
     and their ratio.
     """
-    _check_prob(p)
+    check_probability(p)
     if not 0.0 < target < 1.0:
         raise ValueError("target must be in (0, 1)")
 
@@ -197,7 +199,7 @@ def p4_ballistic(n_sources: int, p: float) -> float:
     """Four photons in distinct pairs, all other sources in vacuum (no switching)."""
     if n_sources % 2 or n_sources < 8:
         raise ValueError("need an even n_sources >= 8")
-    _check_prob(min(p, 0.25))
+    check_probability(min(p, 0.25))
     _, p_vac = squeezed_source(p)
     pairs = n_sources // 2
     return 2 ** 4 * math.comb(pairs, 4) * p ** 4 * p_vac ** (n_sources - 4)
@@ -207,7 +209,7 @@ def p4_blocking(n_sources: int, p: float) -> float:
     """At least 4 of the n/2 pair slots occupied; excess photons blockable."""
     if n_sources % 2 or n_sources < 8:
         raise ValueError("need an even n_sources >= 8")
-    _check_prob(p)
+    check_probability(p)
     pairs = n_sources // 2
     q_pair = 1.0 - (1.0 - p) ** 2
     return 1.0 - math.fsum(
@@ -252,8 +254,8 @@ def footprint(n_sources: int, p: float, yield_: float, p_group: float, p_out: fl
     q = n p yield_ p_group / 4; sources = n K.  The small-q approximation
     -4 ln(1-p_out) / (p p_group yield_) should agree within a few percent.
     """
-    _check_prob(p)
-    _check_prob(p_out)
+    check_probability(p)
+    check_probability(p_out)
     q = n_sources * p * yield_ * p_group / 4.0
     if not 0.0 < q < 1.0:
         raise ValueError("per-copy success must be in (0, 1)")
@@ -272,7 +274,7 @@ def raster_rate(strategy: str, n_sources: int, p: float) -> float:
     two-mux: two n/2-to-1 muxes each step twice; 2 output bins per period.
     four-mux(-interleaved): four n/4-to-1 muxes fill a group each firing.
     """
-    _check_prob(p)
+    check_probability(p)
     if strategy == "one-mux":
         return p_mux_single(n_sources, p) ** 4
     if strategy == "two-mux":
@@ -332,7 +334,7 @@ def ghz_improvement_factors(n_sources: int = 48, p: float = 0.05) -> dict[str, f
     """
     if n_sources % 12:
         raise ValueError("n_sources must be divisible by 12")
-    _check_prob(p)
+    check_probability(p)
     from . import patterns
 
     baseline = p_mux_single(n_sources // 6, p) ** 6

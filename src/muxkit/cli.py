@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__, acceptance, analytics, gmzi, gridmux, logic, networks, patterns, temporal
 from .linalg import equal_up_to_global_phase, perm_matrix
-from .simkit import thread_count
 
 __all__ = ["main"]
 
@@ -72,7 +71,6 @@ def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()},
-        "threads": thread_count(),
     }
     first = next(iter(outputs))
     Path(first + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", newline="\n")
@@ -451,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muxkit",
         description="Switch-network design and yield data for multiplexed photon sources.",
-        epilog="MUXKIT_THREADS caps worker threads (results are schedule-independent).",
     )
     parser.add_argument("--version", action="version", version=f"muxkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

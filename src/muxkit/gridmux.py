@@ -8,6 +8,7 @@ are grouped, and a group succeeds when all of its rows receive a photon.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytics
-from .simkit import Estimate, substream
+from .simkit import Estimate, TrialStreams, reduce_values
 
 __all__ = [
     "GridMuxConfig",
@@ -127,26 +128,63 @@ def _radices(factors: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _digits(index: int, factors: Sequence[int], radices: Sequence[int]) -> tuple[int, ...]:
-    return tuple((index // r) % f for f, r in zip(factors, radices))
-
-
-def _apply_setting(pos: int, setting: tuple[int, ...], factors: Sequence[int], radices: Sequence[int]) -> int:
-    digs = _digits(pos, factors, radices)
-    return sum(((d + s) % f) * r for d, s, f, r in zip(digs, setting, factors, radices))
-
-
-def _setting_between(src: int, dst: int, factors: Sequence[int], radices: Sequence[int]) -> tuple[int, ...]:
-    a = _digits(src, factors, radices)
-    b = _digits(dst, factors, radices)
-    return tuple((y - x) % f for x, y, f in zip(a, b, factors))
-
-
 def _default_factors(size: int) -> tuple[int, ...]:
     if size & (size - 1) == 0 and size > 0:
         return (2,) * (size.bit_length() - 1)
     # fall back to a single cyclic stage for non powers of two
     return (size,)
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Digit tuples of every position, and the (N, N) shift-index table.
+
+    Positions and settings share one mixed-radix numbering (first factor most
+    significant).  ``table[a, b]`` is the setting that moves position a onto
+    position b, digit-wise (b - a) mod factors.  The same entry, with a read
+    as a setting, is the source position that setting moves onto b.
+    """
+    f = np.array(factors, dtype=np.int64)
+    rad = np.array(_radices(factors), dtype=np.int64)
+    digits = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // rad) % f
+    table = ((digits[None, :, :] - digits[:, None, :]) % f) @ rad
+    table.flags.writeable = False  # shared by every caller through the cache
+    return tuple(map(tuple, digits.tolist())), table
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Per-(config, factors) routing data, with settings as integer indices."""
+
+    digits: tuple  # per column: setting index -> digit tuple
+    claim: tuple  # per column: [row][b] -> setting moving the row's cell onto position b
+    source_row: tuple  # per column: [s][b] -> row of the cell setting s moves onto position b
+    scan: tuple  # per row: (column, target position) by ascending column
+    unmarked: tuple  # (row, column) cells outside the grid
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
+    n_rows = len(config.rows)
+    digits, claim, source_row, position = [], [], [], []
+    for c, size in enumerate(config.columns):
+        f = factors if factors is not None else _default_factors(size)
+        if math.prod(f) != size:
+            raise ValueError("column group order must equal column size")
+        col_digits, table = _shift_table(f)
+        rows_of = config.column_rows(c)
+        rows = np.array(rows_of, dtype=np.int64)
+        by_row = np.full((n_rows, size), -1, dtype=np.int64)  # unmarked rows never hold a photon
+        by_row[rows] = table
+        digits.append(col_digits)
+        claim.append(tuple(map(tuple, by_row.tolist())))
+        source_row.append(tuple(map(tuple, rows[table].tolist())))
+        position.append({r: i for i, r in enumerate(rows_of)})
+    scan = tuple(tuple((c, position[c][r]) for c in config.row_columns(r)) for r in range(n_rows))
+    unmarked = tuple(
+        (r, c) for r in range(n_rows) for c in range(len(config.columns)) if not config.grid[r][c]
+    )
+    return _Layout(tuple(digits), tuple(claim), tuple(source_row), scan, unmarked)
 
 
 @dataclass(frozen=True)
@@ -169,56 +207,47 @@ def route(
     claimed, its shift chosen to move its lowest occupied cell into the row.
     A group that cannot fill some row releases every column it claimed.
     """
-    n_rows = len(config.rows)
-    for r in range(n_rows):
-        for c in range(len(config.columns)):
-            if occupancy[r][c] and not config.grid[r][c]:
-                raise ValueError(f"occupancy on unmarked cell ({r}, {c})")
+    layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
+    occupancy = [tuple(map(bool, row)) for row in occupancy]
+    for r, c in layout.unmarked:
+        if occupancy[r][c]:
+            raise ValueError(f"occupancy on unmarked cell ({r}, {c})")
+    success, locked, row_sources = _route(config, layout, occupancy)
+    settings = {c: layout.digits[c][s] for c, s in locked.items()}
+    return RoutingOutcome(success, settings, row_sources)
 
-    factors = tuple(column_group_type) if column_group_type is not None else None
-    col_meta = []
-    for c, size in enumerate(config.columns):
-        f = factors if factors is not None else _default_factors(size)
-        if math.prod(f) != size:
-            raise ValueError("column group order must equal column size")
-        rows_of = config.column_rows(c)
-        occ_positions = [i for i, r in enumerate(rows_of) if occupancy[r][c]]
-        col_meta.append((f, _radices(f), rows_of, {r: i for i, r in enumerate(rows_of)}, occ_positions))
 
-    locked: dict[int, tuple[int, ...]] = {}
+def _route(config: GridMuxConfig, layout: _Layout, occupancy: Sequence[Sequence[bool]]):
+    """route on a validated occupancy of bools: (group success, column -> setting index, row sources)."""
+    columns = list(zip(*occupancy))  # columns[c][r]
+    claim, source_row = layout.claim, layout.source_row
+    locked: dict[int, int] = {}
     row_sources: dict[int, int] = {}
     success = []
     for g in range(config.generators):
-        group_rows = range(g * config.group_size, (g + 1) * config.group_size)
-        claimed: dict[int, tuple[int, ...]] = {}
+        claimed: dict[int, int] = {}
         filled: dict[int, int] = {}
         ok = True
-        for r in group_rows:
-            chosen = None
-            for c in config.row_columns(r):
-                f, rad, rows_of, pos_of, occ_positions = col_meta[c]
-                target = pos_of[r]
+        for r in range(g * config.group_size, (g + 1) * config.group_size):
+            for c, target in layout.scan[r]:
                 setting = claimed.get(c, locked.get(c))
                 if setting is not None:
-                    src = _apply_setting(target, tuple(-s % ff for s, ff in zip(setting, f)), f, rad)
-                    if occupancy[rows_of[src]][c]:
-                        chosen = (c, None)
+                    if columns[c][source_row[c][setting][target]]:
                         break
-                elif occ_positions:
-                    chosen = (c, _setting_between(occ_positions[0], target, f, rad))
+                elif True in columns[c]:
+                    # positions ascend with rows, so the first occupied row
+                    # is the column's lowest occupied cell
+                    claimed[c] = claim[c][columns[c].index(True)][target]
                     break
-            if chosen is None:
+            else:
                 ok = False
                 break
-            c, setting = chosen
-            if setting is not None:
-                claimed[c] = setting
             filled[r] = c
         success.append(ok)
         if ok:
             locked.update(claimed)
             row_sources.update(filled)
-    return RoutingOutcome(tuple(success), locked, row_sources)
+    return tuple(success), locked, row_sources
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +274,25 @@ def simulate_grid_yield(
     Empty trials contribute zero.  Cells are sampled in row-major order over
     the marked cells so results are reproducible per (seed, trial).
     """
+    analytics.check_probability(p)
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    marked = [(r, c) for r in range(len(config.rows)) for c in range(len(config.columns)) if config.grid[r][c]]
-    n_rows, n_cols = len(config.rows), len(config.columns)
+    layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
+    mask = np.array(config.grid, dtype=bool)
+    n_marked = int(mask.sum())
+    occupancy = np.zeros(mask.shape, dtype=bool)
+    streams = TrialStreams(seed)
     vals = np.empty(trials, dtype=np.float64)
     for trial in range(trials):
-        hits = substream(seed, trial).random(len(marked)) < p
-        occupancy = [[False] * n_cols for _ in range(n_rows)]
-        n_photons = 0
-        for (r, c), h in zip(marked, hits):
-            if h:
-                occupancy[r][c] = True
-                n_photons += 1
+        hits = streams.trial(trial).random(n_marked) < p
+        n_photons = int(hits.sum())
         if n_photons == 0:
             vals[trial] = 0.0
             continue
-        outcome = route(config, occupancy, column_group_type)
-        vals[trial] = config.group_size * sum(outcome.group_success) / n_photons
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1)) if trials > 1 else float("inf")
-    est = Estimate(mean=mean, stderr=std / math.sqrt(trials), trials=trials, seed=seed)
+        occupancy[mask] = hits  # marked cells in row-major order
+        success, _, _ = _route(config, layout, occupancy.tolist())
+        vals[trial] = config.group_size * sum(success) / n_photons
+    est = reduce_values(vals, seed)
     return GridYieldPoint(p=p, estimate=est, bound=bound_curve(config, p), naive=naive_curve(config, p))
 
 

@@ -2,20 +2,22 @@
 
 Every trial draws from its own counter-based Philox stream keyed by
 (seed, trial_index), so results do not depend on execution order and any
-subset of trials can be reproduced in isolation.  Reductions run in fixed
-index order with compensated summation.
+subset of trials can be reproduced in isolation.  A Monte-Carlo call keeps
+one generator for all of its trials and resets its key per trial, which
+draws the same numbers as a fresh substream without building one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Estimate", "substream", "sample_occupancy", "estimate", "thread_count"]
+from .analytics import check_probability
+
+__all__ = ["Estimate", "substream", "TrialStreams", "sample_occupancy", "estimate", "reduce_values"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,37 @@ def substream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class TrialStreams:
+    """The substreams of one seed, served by a single reused generator.
+
+    ``trial(t)`` resets the Philox key to (seed, t), the counter to zero and
+    the output buffers to empty, so its draws equal ``substream(seed, t)`` bit
+    for bit.  The generator it returns is valid until the next ``trial`` call.
+    """
+
+    def __init__(self, seed: int):
+        self._key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bit_generator = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def trial(self, trial_index: int) -> np.random.Generator:
+        """The generator, reset to the start of substream(seed, trial_index)."""
+        self._key[1] = int(np.uint64(trial_index))
+        self._bit_generator.state = self._state
+        return self._generator
+
+
 def sample_occupancy(shape, p: float, seed: int, trial_index: int) -> np.ndarray:
     """Boolean occupancy array: independent Bernoulli(p) per cell for one trial."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     rng = substream(seed, trial_index)
     return rng.random(shape) < p
 
@@ -66,11 +95,16 @@ def estimate(fn: Callable[[np.random.Generator], float], trials: int, seed: int)
     return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
 
 
-def thread_count() -> int:
-    """Worker count from MUXKIT_THREADS (default 1; results never depend on it)."""
-    raw = os.environ.get("MUXKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def reduce_values(values: np.ndarray, seed: int) -> Estimate:
+    """Estimate from per-trial values: numpy mean and sample std (ddof=1) / sqrt(n).
+
+    The Monte-Carlo drivers share this reduction; ``estimate`` keeps its
+    compensated sums.  Needs at least two values for a defined stderr.
+    """
+    trials = len(values)
+    return Estimate(
+        mean=float(np.mean(values)),
+        stderr=float(np.std(values, ddof=1)) / math.sqrt(trials),
+        trials=trials,
+        seed=seed,
+    )

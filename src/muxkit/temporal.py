@@ -10,7 +10,6 @@ appears as a contiguous window.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import analytics
-from .simkit import Estimate, substream
+from .simkit import Estimate, TrialStreams, reduce_values
 
 __all__ = [
     "SpaceTimeOccupancy",
@@ -445,22 +444,17 @@ def simulate_group_extraction(
     max_groups: int = 4,
 ) -> dict[int, Estimate]:
     """P(at least k groups) for k = 1..max_groups over random occupancies."""
+    analytics.check_probability(p)
     if trials < 2:
         raise ValueError("trials must be >= 2")
     hits = np.zeros((max_groups, trials), dtype=np.float64)
+    streams = TrialStreams(seed)
     for trial in range(trials):
-        gen = substream(seed, trial)
-        grid = gen.random((modes, bins)) < p
-        occ = SpaceTimeOccupancy(modes, bins, tuple(tuple(bool(x) for x in row) for row in grid))
+        grid = streams.trial(trial).random((modes, bins)) < p
+        occ = SpaceTimeOccupancy(modes, bins, tuple(map(tuple, grid.tolist())))
         found = len(extract_photon_groups(modes, group_size, occ, max_delay, max_crossing, max_groups))
         hits[:found, trial] = 1.0
-    out = {}
-    for k in range(1, max_groups + 1):
-        row = hits[k - 1]
-        mean = float(row.mean())
-        std = float(row.std(ddof=1)) if trials > 1 else float("inf")
-        out[k] = Estimate(mean=mean, stderr=std / math.sqrt(trials), trials=trials, seed=seed)
-    return out
+    return {k: reduce_values(hits[k - 1], seed) for k in range(1, max_groups + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +491,9 @@ def raster_simulate(
     groups for any fixed outcome stream.
     """
     strategy = _RASTER_ALIASES.get(strategy, strategy)
+    if strategy not in RASTER_GROUP_STEPS:
+        supported = ", ".join(list(RASTER_GROUP_STEPS) + list(_RASTER_ALIASES))
+        raise ValueError(f"cannot simulate raster strategy {strategy!r}; supported: {supported}")
     run = RASTER_GROUP_STEPS[strategy]
     if steps % 4:
         raise ValueError("steps must be a multiple of the 4-step period")
@@ -512,10 +509,12 @@ def raster_simulate(
         draws = 2 * steps
 
     ok = np.empty((trials, steps), dtype=bool)
+    u = np.empty(draws, dtype=np.float64)
+    streams = TrialStreams(seed)
     for trial in range(trials):
-        u = substream(seed, trial).random(draws)
+        streams.trial(trial).random(out=u)
         if strategy == "one-mux":
-            ok[trial] = u < q
+            np.less(u, q, out=ok[trial])
         else:
             ok[trial] = (u.reshape(steps, 2) < q).all(axis=1)
 
@@ -537,12 +536,9 @@ def raster_simulate(
             offsets[(k * run + run - 1) % 4] += int(c)
 
     periods = steps // 4
-    per_period = counts / periods
-    mean = float(per_period.mean())
-    std = float(per_period.std(ddof=1)) if trials > 1 else float("inf")
-    groups = Estimate(mean=mean, stderr=std / math.sqrt(trials), trials=trials, seed=seed)
+    groups = reduce_values(counts / periods, seed)
     scale = 1.0 / (n_sources * p) if p > 0 else 0.0
-    yield_ = Estimate(mean=mean * scale, stderr=groups.stderr * scale, trials=trials, seed=seed)
+    yield_ = Estimate(mean=groups.mean * scale, stderr=groups.stderr * scale, trials=trials, seed=seed)
     return RasterResult(groups, yield_, tuple(int(x) for x in offsets))
 
 

@@ -4,9 +4,13 @@ The heavy work runs once per session; each test reports one check so a
 failure names the exact criterion and its measured values.
 """
 
+import hashlib
+
 import pytest
 
 from muxkit import acceptance
+
+PROBE_SHA256 = "099f8e1e541393d4cbc9a52daa33eda84cb8805c84256b7be98cc20aa93581c4"
 
 EXPECTED_NAMES = [
     "device classification",
@@ -109,3 +113,9 @@ def test_15_feedforward_tables(results):
 
 def test_16_reproducibility(results):
     _check(results, 16)
+
+
+def test_reproducibility_probe_is_frozen():
+    # check 16 only compares two runs in one process; this pins the bytes
+    probe = acceptance.reproducibility_probe()
+    assert hashlib.sha256(probe.encode()).hexdigest() == PROBE_SHA256

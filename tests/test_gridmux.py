@@ -1,12 +1,14 @@
 """Grid multiplexer: config shape, greedy routing, yield simulation."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from muxkit import analytics, gridmux
-from muxkit.gridmux import _apply_setting, _default_factors, _radices
+from muxkit.gridmux import _default_factors, _radices
 
 
 def _occupancy(config, p, seed):
@@ -98,9 +100,8 @@ def test_route_settings_replay():
             fac = _default_factors(len(rows_of))
             rad = _radices(fac)
             target_pos = rows_of.index(r)
-            src_pos = _apply_setting(
-                target_pos, tuple((-s) % f for s, f in zip(setting, fac)), fac, rad
-            )
+            # undo the shift digit by digit: source digits = target digits - setting
+            src_pos = sum(((target_pos // q) % f - s) % f * q for s, f, q in zip(setting, fac, rad))
             assert occ[rows_of[src_pos]][c], "claimed cell has no photon"
         # a column serves at most as many rows as it has photons
         for c, setting in out.column_settings.items():
@@ -193,3 +194,40 @@ def test_bound_curve_saturation():
     assert gridmux.naive_curve(cfg, p) == pytest.approx(
         4 * analytics.p_mux_single(64, p) ** 4 / (256 * p), rel=1e-12
     )
+
+
+# sha256 of the outcomes of 12 seeded occupancies per p in (0.02, 0.1, 0.4,
+# 0.8), frozen from the digit-by-digit implementation of route
+ROUTE_DIGESTS = {
+    None: "85e655ae5425ca05aed75894f5b776a2633caf6bb6d2549f06143631b2f7275d",
+    (4, 4): "8bbd7e7c015a1883b854a858a39b99af731bb01faa7e53f07892b9f4be1545d1",
+    (16,): "a344b88b7cb0567094551c876313c52fe9331a106c20fc8ec99729c191360a80",
+    (2, 8): "b4febea309222792243e2b5f987ad9a668ceb43e303e014ab7c6ad0a12120d80",
+    (2, 2, 4): "c97f15569c646b2eea384bd3a86513f65c71efa2c7b903044e65c351d8b2a5a8",
+}
+
+
+def _route_digest(cfg, group_type):
+    h = hashlib.sha256()
+    for p in (0.02, 0.1, 0.4, 0.8):
+        for seed in range(12):
+            out = gridmux.route(cfg, _occupancy(cfg, p, seed), group_type)
+            record = [
+                list(out.group_success),
+                sorted([c, list(s)] for c, s in out.column_settings.items()),
+                sorted(out.row_sources.items()),
+            ]
+            h.update(json.dumps(record).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("group_type", list(ROUTE_DIGESTS))
+def test_route_outcomes_are_frozen(group_type):
+    assert _route_digest(gridmux.default_config(), group_type) == ROUTE_DIGESTS[group_type]
+
+
+def test_simulate_yield_rejects_bad_p():
+    cfg = gridmux.default_config()
+    for p in (-1.0, -1e-12, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            gridmux.simulate_grid_yield(cfg, p, trials=4, seed=0)

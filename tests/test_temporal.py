@@ -189,6 +189,12 @@ def test_simulate_group_extraction():
         temporal.simulate_group_extraction(6, 4, 4, 0.5, trials=1, seed=21)
 
 
+def test_simulate_group_extraction_rejects_bad_p():
+    for p in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            temporal.simulate_group_extraction(6, 4, 4, p, trials=4, seed=21)
+
+
 def test_raster_simulation_matches_rate_formula():
     # without enhancement the group count is the closed-form block rate
     for strategy, n in (("one-mux", 16), ("two-mux", 16)):
@@ -227,8 +233,13 @@ def test_raster_aliases_and_guards():
         temporal.raster_simulate("one-mux", 16, 0.1, enhanced=False, trials=1, seed=1)
     with pytest.raises(ValueError):
         temporal.raster_simulate("two-mux", 15, 0.1, enhanced=False, trials=50, seed=1)
-    with pytest.raises(KeyError):
-        temporal.raster_simulate("three-mux", 16, 0.1, enhanced=False, trials=50, seed=1)
+
+
+def test_raster_rejects_unsupported_strategies():
+    # four-mux has a closed form in analytics but no simulation
+    for strategy in ("three-mux", "four-mux", "four-mux-interleaved"):
+        with pytest.raises(ValueError, match="one-mux.*two-mux"):
+            temporal.raster_simulate(strategy, 16, 0.1, enhanced=False, trials=50, seed=1)
 
 
 def test_temporal_permutation_replays_every_small_perm():
