@@ -265,6 +265,7 @@ def footprint(n_sources: int, p: float, yield_: float, p_group: float, p_out: fl
 
 
 RASTER_STRATEGIES = ("one-mux", "two-mux", "four-mux", "four-mux-interleaved")
+_RASTER_ALIASES = {"i": "one-mux", "ii": "two-mux"}
 
 
 def raster_rate(strategy: str, n_sources: int, p: float) -> float:
@@ -273,8 +274,10 @@ def raster_rate(strategy: str, n_sources: int, p: float) -> float:
     one-mux: a single n-to-1 mux steps over the 4 group positions.
     two-mux: two n/2-to-1 muxes each step twice; 2 output bins per period.
     four-mux(-interleaved): four n/4-to-1 muxes fill a group each firing.
+    The aliases i and ii name one-mux and two-mux.
     """
     check_probability(p)
+    strategy = _RASTER_ALIASES.get(strategy, strategy)
     if strategy == "one-mux":
         return p_mux_single(n_sources, p) ** 4
     if strategy == "two-mux":

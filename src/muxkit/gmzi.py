@@ -10,6 +10,7 @@ input port 0 to output port k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -185,42 +186,54 @@ def build_gmzi(factors, offsets=None) -> GmziDevice:
     return GmziDevice(factors=factors, n_modes=n_modes, offsets=offsets)
 
 
-def _radices(factors: tuple[int, ...]) -> list[int]:
-    # row-major place values: first digit is most significant
-    out = []
-    acc = 1
-    for n in reversed(factors):
-        out.append(acc)
-        acc *= n
-    return list(reversed(out))
+@functools.lru_cache(maxsize=64)
+def _mixed_radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, r) digit table of 0..N-1 and the place values (first digit most significant).
+
+    Shared by every group computation on a factor tuple; both arrays are
+    read-only because the cache hands them to every caller.
+    """
+    place = np.cumprod((1,) + factors[:0:-1], dtype=np.int64)[::-1]
+    digits = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // place) % np.array(factors)
+    place.flags.writeable = digits.flags.writeable = False
+    return digits, place
 
 
 def setting_vector(dev: GmziDevice, index: int) -> tuple[int, ...]:
     """Mixed-radix digit vector (k1, ..., kr) of a setting index (row-major)."""
     if not 0 <= index < dev.n_settings:
         raise ValueError("setting index out of range")
-    digits = []
-    for n, place in zip(dev.factors, _radices(dev.factors)):
-        digits.append((index // place) % n)
-    return tuple(digits)
+    return tuple(_mixed_radix(dev.factors)[0][index].tolist())
 
 
 def setting_index(dev: GmziDevice, vector) -> int:
-    vector = tuple(int(v) for v in vector)
-    if len(vector) != len(dev.factors):
-        raise ValueError("digit vector length mismatch")
-    idx = 0
-    for v, n, place in zip(vector, dev.factors, _radices(dev.factors)):
-        if not 0 <= v < n:
-            raise ValueError("digit out of range")
-        idx += v * place
-    return idx
+    vector = _as_vector(dev, vector)
+    if not all(0 <= v < n for v, n in zip(vector, dev.factors)):
+        raise ValueError("digit out of range")
+    return sum(v * place for v, place in zip(vector, _mixed_radix(dev.factors)[1].tolist()))
 
 
 def _as_vector(dev: GmziDevice, k) -> tuple[int, ...]:
     if isinstance(k, (int, np.integer)):
         return setting_vector(dev, int(k))
-    return tuple(int(v) for v in k)
+    vector = tuple(int(v) for v in k)
+    if len(vector) != len(dev.factors):
+        raise ValueError("digit vector length mismatch")
+    return vector
+
+
+def _angles(factors: tuple[int, ...], k_digits: np.ndarray) -> np.ndarray:
+    """Angle rows of the settings with the given digit rows, canonical branch.
+
+    The per-factor terms are summed one factor at a time from zero, in the
+    order a digit-by-digit evaluation would use, so every angle is the same
+    float whichever path computes it.
+    """
+    digits = _mixed_radix(factors)[0]
+    frac = np.zeros((len(k_digits), len(digits)))
+    for l, n in enumerate(factors):
+        frac = frac + np.multiply.outer(k_digits[:, l], digits[:, l]) / n
+    return canonical_angle(-2.0 * np.pi * frac)
 
 
 def setting_angles(dev: GmziDevice, k) -> np.ndarray:
@@ -228,18 +241,12 @@ def setting_angles(dev: GmziDevice, k) -> np.ndarray:
 
     Mode t with digits (t1, ..., tr) gets angle -2pi * sum_l k_l t_l / n_l.
     """
-    kvec = _as_vector(dev, k)
-    angles = np.zeros(dev.n_modes)
-    for t in range(dev.n_modes):
-        tvec = setting_vector(dev, t)
-        frac = sum(kl * tl / nl for kl, tl, nl in zip(kvec, tvec, dev.factors))
-        angles[t] = -2.0 * np.pi * frac
-    return canonical_angle(angles)
+    return _angles(dev.factors, np.array([_as_vector(dev, k)], dtype=np.int64))[0]
 
 
 def all_setting_angles(dev: GmziDevice) -> np.ndarray:
     """(N_settings x N_modes) matrix of target angles."""
-    return np.stack([setting_angles(dev, k) for k in range(dev.n_settings)])
+    return _angles(dev.factors, _mixed_radix(dev.factors)[0])
 
 
 def setting_matrix(dev: GmziDevice, k) -> np.ndarray:
@@ -257,13 +264,8 @@ def setting_matrix(dev: GmziDevice, k) -> np.ndarray:
 
 def setting_permutation(dev: GmziDevice, k) -> np.ndarray:
     """Mapping array of setting k: digit-wise cyclic shifts t_l -> t_l + k_l."""
-    kvec = _as_vector(dev, k)
-    mapping = np.zeros(dev.n_modes, dtype=int)
-    for t in range(dev.n_modes):
-        tvec = setting_vector(dev, t)
-        out = tuple((tl + kl) % nl for tl, kl, nl in zip(tvec, kvec, dev.factors))
-        mapping[t] = setting_index(dev, out)
-    return mapping
+    digits, place = _mixed_radix(dev.factors)
+    return ((digits + np.array(_as_vector(dev, k), dtype=np.int64)) % dev.factors) @ place
 
 
 def setting_permutation_matrix(dev: GmziDevice, k) -> np.ndarray:
@@ -276,7 +278,13 @@ def routing_table(dev: GmziDevice) -> np.ndarray:
     For any device this is a Latin square: each input reaches each output
     under exactly one setting.
     """
-    return np.stack([setting_permutation(dev, k) for k in range(dev.n_settings)])
+    digits, place = _mixed_radix(dev.factors)
+    # ((digits[:, None] + digits[None]) % factors) @ place, one factor at a
+    # time so no (N, N, r) intermediate is ever allocated
+    table = np.zeros((dev.n_modes, dev.n_modes), dtype=np.int64)
+    for l, n in enumerate(dev.factors):
+        table += (np.add.outer(digits[:, l], digits[:, l]) % n) * place[l]
+    return table
 
 
 def parallel_gmzi_settings_count(partition) -> int:
@@ -354,14 +362,9 @@ def decompose_stages(dev: GmziDevice) -> StageDecomposition:
     n = dev.n_modes
     stages = []
     for l, nl in enumerate(factors):
-        a = math.prod(factors[:l]) if l > 0 else 1
-        b = math.prod(factors[l + 1:]) if l + 1 < len(factors) else 1
+        a, b = math.prod(factors[:l]), math.prod(factors[l + 1:])
         # gather (i, s, j) -> (i, j, s): local digit moved to the fast index
-        pre = np.zeros(n, dtype=int)
-        for i in range(a):
-            for s in range(nl):
-                for j in range(b):
-                    pre[i * nl * b + s * b + j] = i * b * nl + j * nl + s
+        pre = np.arange(n).reshape(a, b, nl).transpose(0, 2, 1).reshape(n)
         post = np.zeros(n, dtype=int)
         post[pre] = np.arange(n)
         stages.append(Stage(block_size=nl, n_blocks=n // nl, pre=pre, post=post))
@@ -378,14 +381,12 @@ def active_setting_angles(dev: GmziDevice, restrict_to=None) -> np.ndarray:
     angle vector so its largest element is zero; all angles stay on the
     canonical branch (-2pi, 0].
     """
-    indices = range(dev.n_settings) if restrict_to is None else list(restrict_to)
-    rows = []
-    for k in indices:
-        raw = setting_angles(dev, k)
-        if dev.offsets is not None:
-            raw = canonical_angle(raw - dev.offsets)
-        rows.append(raw - raw.max())
-    return np.stack(rows)
+    rows = all_setting_angles(dev)
+    if restrict_to is not None:
+        rows = rows[[setting_index(dev, _as_vector(dev, k)) for k in restrict_to]]
+    if dev.offsets is not None:
+        rows = canonical_angle(rows - dev.offsets)
+    return rows - rows.max(axis=1, keepdims=True)
 
 
 def phase_swing(dev: GmziDevice, restrict_to=None) -> float:
@@ -629,7 +630,7 @@ def device_to_json(dev: GmziDevice) -> str:
         "spec": list(dev.factors),
         "N": dev.n_modes,
         "offsets": None if dev.offsets is None else [fmt(x) for x in dev.offsets],
-        "settings": [[fmt(a) for a in setting_angles(dev, k)] for k in range(dev.n_settings)],
+        "settings": [[fmt(a) for a in row] for row in all_setting_angles(dev).tolist()],
     }
     return json.dumps(payload, sort_keys=True, indent=2)
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytics
+from .gmzi import _mixed_radix
 from .simkit import Estimate, TrialStreams, reduce_values
 
 __all__ = [
@@ -106,6 +107,11 @@ def config_to_json(config: GridMuxConfig) -> str:
 
 def config_from_json(text: str) -> GridMuxConfig:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("grid config must be a JSON object")
+    missing = [key for key in ("columns", "rows", "grid", "group_size", "generators") if key not in doc]
+    if missing:
+        raise ValueError(f"grid config is missing {', '.join(missing)}")
     return GridMuxConfig(
         columns=tuple(doc["columns"]),
         rows=tuple((int(a), int(b)) for a, b in doc["rows"]),
@@ -117,15 +123,6 @@ def config_from_json(text: str) -> GridMuxConfig:
 
 # ---------------------------------------------------------------------------
 # routing
-
-
-def _radices(factors: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    acc = 1
-    for f in reversed(factors):
-        out.append(acc)
-        acc *= f
-    return tuple(reversed(out))
 
 
 def _default_factors(size: int) -> tuple[int, ...]:
@@ -144,10 +141,8 @@ def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
     position b, digit-wise (b - a) mod factors.  The same entry, with a read
     as a setting, is the source position that setting moves onto b.
     """
-    f = np.array(factors, dtype=np.int64)
-    rad = np.array(_radices(factors), dtype=np.int64)
-    digits = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // rad) % f
-    table = ((digits[None, :, :] - digits[:, None, :]) % f) @ rad
+    digits, place = _mixed_radix(factors)
+    table = ((digits[None, :, :] - digits[:, None, :]) % factors) @ place
     table.flags.writeable = False  # shared by every caller through the cache
     return tuple(map(tuple, digits.tolist())), table
 

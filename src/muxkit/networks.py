@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmzi import build_gmzi, decompose_stages
+from .gmzi import _factorize, _inversions, build_gmzi, decompose_stages
 
 __all__ = [
     "Component",
@@ -24,7 +24,6 @@ __all__ = [
     "build_log_tree",
     "build_chain",
     "build_delay_network",
-    "build_binary_delay_network",
     "build_storage_loop",
     "build_spanke",
     "build_concatenated_gmzi",
@@ -115,11 +114,6 @@ class _Builder:
         )
 
 
-def _inversions(mapping) -> int:
-    m = list(mapping)
-    return sum(1 for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] > m[j])
-
-
 def _ceil_log(size: int, n: int) -> int:
     """Smallest d >= 0 with n**d >= size (exact, no float log)."""
     d = 0
@@ -130,21 +124,8 @@ def _ceil_log(size: int, n: int) -> int:
     return d
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(sorted(out, reverse=True))
-
-
 def _add_crossing(b: _Builder, ports, mapping) -> list[int]:
-    mapping = list(mapping)
+    mapping = [int(m) for m in mapping]
     if mapping == list(range(len(mapping))):
         return list(ports)
     # out slot mapping[i] carries what came in on slot i; the returned list is
@@ -170,7 +151,7 @@ def _add_switch_block(b: _Builder, in_ports) -> list[int]:
     n = len(in_ports)
     if n == 1:
         return b.add("active-phase", in_ports, 1)
-    factors = _prime_factors(n)
+    factors = tuple(sorted((p for p, e in _factorize(n).items() for _ in range(e)), reverse=True))
     ports = _add_passive(b, list(in_ports), factors)
     ports = [b.add("active-phase", [p], 1)[0] for p in ports]
     ports = _add_passive(b, ports, factors)
@@ -250,10 +231,6 @@ def build_delay_network(size: int, n: int = 2) -> Network:
         ports = _add_switch_block(b, nxt)
     b.drop(ports[1:])
     return b.finish([ports[0]])
-
-
-# alias: the n=2 case is the common binary form
-build_binary_delay_network = build_delay_network
 
 
 def build_storage_loop(size: int, n: int = 2) -> Network:
@@ -359,12 +336,22 @@ BUILDERS = {
 # traversal metrics and validation
 
 def validate(net: Network) -> None:
-    """Check the port graph: every port produced once, consumed at most once."""
+    """Check the port graph and its components.
+
+    Every port is produced once and consumed at most once, every component
+    has a known kind, and every crossing maps its ports by a permutation.
+    """
     produced = set(net.input_ports)
     if len(produced) != len(net.input_ports):
         raise ValueError("duplicate input ports")
     consumed: set[int] = set()
     for comp in net.components:
+        if comp.kind not in KINDS:
+            raise ValueError(f"unknown component kind {comp.kind!r}")
+        if not isinstance(comp.params, dict):
+            raise ValueError("component params must be a mapping")
+        if comp.kind == "crossing" and not _permutes(comp.params.get("mapping"), comp):
+            raise ValueError("crossing mapping is not a permutation of its ports")
         for p in comp.in_ports:
             if p not in produced:
                 raise ValueError(f"component consumes unproduced port {p}")
@@ -378,6 +365,14 @@ def validate(net: Network) -> None:
     for p in net.output_ports:
         if p not in produced or p in consumed:
             raise ValueError(f"output port {p} is not an open produced port")
+
+
+def _permutes(mapping, comp: Component) -> bool:
+    n = len(comp.in_ports)
+    try:
+        return len(comp.out_ports) == n and sorted(mapping) == list(range(n))
+    except TypeError:  # missing, or entries that do not compare
+        return False
 
 
 def metrics(net: Network) -> CostMetrics:

@@ -462,7 +462,6 @@ def simulate_group_extraction(
 
 
 RASTER_GROUP_STEPS = {"one-mux": 4, "two-mux": 2}
-_RASTER_ALIASES = {"i": "one-mux", "ii": "two-mux"}
 
 
 @dataclass(frozen=True)
@@ -490,9 +489,9 @@ def raster_simulate(
     next step.  Both counts are greedy-disjoint, so enhancement can only add
     groups for any fixed outcome stream.
     """
-    strategy = _RASTER_ALIASES.get(strategy, strategy)
+    strategy = analytics._RASTER_ALIASES.get(strategy, strategy)
     if strategy not in RASTER_GROUP_STEPS:
-        supported = ", ".join(list(RASTER_GROUP_STEPS) + list(_RASTER_ALIASES))
+        supported = ", ".join(list(RASTER_GROUP_STEPS) + list(analytics._RASTER_ALIASES))
         raise ValueError(f"cannot simulate raster strategy {strategy!r}; supported: {supported}")
     run = RASTER_GROUP_STEPS[strategy]
     if steps % 4:

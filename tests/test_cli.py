@@ -120,6 +120,19 @@ def test_temporal_raster_csv(tmp_path):
     assert abs(sim - closed) < 5 * err + 1e-9
 
 
+def test_temporal_raster_alias_csv_matches_strategy(tmp_path):
+    texts = []
+    for strategy in ("i", "one-mux"):
+        out = tmp_path / f"raster-{strategy}.csv"
+        argv = [
+            "temporal", "--scheme", "raster", "--strategy", strategy,
+            "--n-range", "8:16:8", "--p", "0.1", "--trials", "200", "--seed", "3", "--csv", str(out),
+        ]
+        assert main(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_gmzi_classify_and_verify(capsys):
     assert main(["gmzi", "--size", "8", "--classify"]) == 0
     assert capsys.readouterr().out.strip().split("\n") == ["8", "4,2", "2,2,2"]
@@ -193,6 +206,14 @@ def test_unknown_flag_exits_2():
 def test_domain_error_exits_1(capsys):
     assert main(["gmzi", "--size", "8", "--type", "3,3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["gridmux", "--p-range", "0.1", "--trials", "10", "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.json" in err
+    assert "Traceback" not in err
 
 
 def test_verify_quick_json_is_byte_stable(tmp_path):

@@ -1,13 +1,17 @@
 """Switch devices: classification, permutation action, swings, orthogonality."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from muxkit import gmzi
+from muxkit import gmzi, networks
 from muxkit.linalg import (
+    canonical_angle,
     dft_matrix,
     equal_up_to_global_phase,
     is_permutation_matrix,
@@ -327,3 +331,119 @@ def test_build_gmzi_argument_checks():
         gmzi.build_gmzi((0, 2))
     with pytest.raises(ValueError):
         gmzi.build_gmzi((2, 2), offsets=(0.0,))
+
+
+# sha256 of the device algebra and of every network builder's output: device
+# and network JSON are kept by users, so these bytes must not move.  Specs
+# cover non-power-of-two factors; BLAS and exp outputs are rounded to 9
+# decimals so the digest does not depend on the platform's last bits.
+DEVICE_DIGEST = "dbe89a05e6e39b56868d9dbff62df71cd439ea518a44a63eb378433ff3531af5"
+DIGEST_SPECS = [(6,), (7, 5), (12,), (2, 3, 4), (16, 16), (2,) * 8]
+DIGEST_NETWORKS = [
+    ("log-tree", (8, 2)),
+    ("log-tree", (9, 3)),
+    ("chain", (10, 3)),
+    ("delay-network", (8, 2)),
+    ("delay-network", (12, 3)),
+    ("storage-loop", (7, 4)),
+    ("spanke", (6, 3)),
+    ("spanke", (6, 3, True)),
+    ("spanke", (16, 4)),
+    ("concatenated-gmzi", (6, 3)),
+    ("concatenated-gmzi", (12, 2)),
+]
+
+
+def _device_algebra_digest() -> str:
+    h = hashlib.sha256()
+
+    def feed(x):
+        arr = np.ascontiguousarray(x)
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(arr.tobytes())
+
+    for spec in DIGEST_SPECS:
+        n = math.prod(spec)
+        for offsets in [None] + ([np.linspace(-np.pi, 0.0, n)] if n <= 64 else []):
+            dev = gmzi.build_gmzi(spec, offsets=offsets)
+            h.update(gmzi.device_to_json(dev).encode())
+            h.update(repr([gmzi.setting_vector(dev, k) for k in range(n)]).encode())
+            feed(gmzi.routing_table(dev))
+            feed(gmzi.setting_permutation(dev, n - 1))
+            feed(gmzi.all_setting_angles(dev))
+            feed(np.stack([gmzi.setting_angles(dev, k) for k in range(n)]))
+            feed(gmzi.active_setting_angles(dev))
+            feed(gmzi.active_setting_angles(dev, restrict_to=[n - 1, 0, 1]))
+            for k in sorted({0, 1, n - 1}):
+                feed(np.round(gmzi.setting_matrix(dev, k), 9) + 0j)
+            rep = gmzi.check_mux_lemma(dev)
+            h.update(repr((
+                rep.hadamard_ok,
+                rep.orthonormal_ok,
+                round(rep.max_modulus_deviation, 9),
+                round(rep.max_gram_deviation, 9),
+            )).encode())
+        for stage in gmzi.decompose_stages(gmzi.build_gmzi(spec)).stages:
+            feed(stage.pre)
+            feed(stage.post)
+            h.update(repr(stage.crossings()).encode())
+    h.update(repr([gmzi.classify_gmzi_types(n) for n in range(1, 65)]).encode())
+    for name, args in DIGEST_NETWORKS:
+        net = networks.BUILDERS[name](*args)
+        h.update(networks.network_to_json(net).encode())
+        h.update(repr(networks.metrics(net)).encode())
+    return h.hexdigest()
+
+
+def test_device_algebra_digest_is_frozen():
+    assert _device_algebra_digest() == DEVICE_DIGEST
+
+
+def _within_64(factors):
+    # longest prefix whose product stays <= 64 (the first factor always fits)
+    out = []
+    for f in factors:
+        if math.prod(out) * f > 64:
+            break
+        out.append(f)
+    return out
+
+
+def _loop_angles(factors):
+    # digit-by-digit reference: terms k_l t_l / n_l summed in factor order
+    def digits(i):
+        out = []
+        for f in reversed(factors):
+            i, d = divmod(i, f)
+            out.append(d)
+        return out[::-1]
+
+    n = math.prod(factors)
+    return canonical_angle([
+        [-2.0 * np.pi * sum(kl * tl / nl for kl, tl, nl in zip(digits(k), digits(t), factors)) for t in range(n)]
+        for k in range(n)
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=5).map(_within_64))
+def test_setting_angles_match_the_digit_loop_bit_for_bit(factors):
+    dev = gmzi.build_gmzi(factors)
+    assert np.array_equal(gmzi.all_setting_angles(dev), _loop_angles(factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=5).map(_within_64))
+def test_routing_table_is_the_kronecker_shift_group(factors):
+    # independent oracle: the Kronecker product of single-factor cyclic shifts
+    dev = gmzi.build_gmzi(factors)
+    table = gmzi.routing_table(dev)
+    n = dev.n_modes
+    want = np.arange(n)
+    assert table.shape == (n, n)
+    assert (np.sort(table, axis=0) == want[:, None]).all()
+    assert (np.sort(table, axis=1) == want[None, :]).all()
+    for k in range(n):
+        oracle = matrix_to_mapping(gmzi.setting_permutation_matrix(dev, k))
+        assert np.array_equal(table[k], oracle)
+        assert np.array_equal(gmzi.setting_permutation(dev, k), oracle)

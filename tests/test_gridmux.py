@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from muxkit import analytics, gridmux
-from muxkit.gridmux import _default_factors, _radices
+from muxkit.gmzi import _mixed_radix
+from muxkit.gridmux import _default_factors
 
 
 def _occupancy(config, p, seed):
@@ -48,6 +49,13 @@ def test_config_json_roundtrip():
     cfg = gridmux.default_config()
     back = gridmux.config_from_json(gridmux.config_to_json(cfg))
     assert back == cfg
+
+
+def test_config_from_json_names_a_missing_key():
+    doc = json.loads(gridmux.config_to_json(gridmux.default_config()))
+    del doc["generators"]
+    with pytest.raises(ValueError, match="generators"):
+        gridmux.config_from_json(json.dumps(doc))
 
 
 def test_route_empty_and_full():
@@ -98,7 +106,7 @@ def test_route_settings_replay():
             setting = out.column_settings[c]
             rows_of = cfg.column_rows(c)
             fac = _default_factors(len(rows_of))
-            rad = _radices(fac)
+            rad = _mixed_radix(fac)[1].tolist()
             target_pos = rows_of.index(r)
             # undo the shift digit by digit: source digits = target digits - setting
             src_pos = sum(((target_pos // q) % f - s) % f * q for s, f, q in zip(setting, fac, rad))

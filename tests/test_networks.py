@@ -1,5 +1,7 @@
 """Switch-network builders: frozen cost anchors and closed-form sweeps."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -48,10 +50,6 @@ def test_delay_network_anchors():
     m = _m(networks.build_delay_network(2, 2))
     assert m.n_active == 4  # 2 blocks of 2
     assert m.delays == (1.0,)
-
-
-def test_binary_delay_alias():
-    assert networks.build_binary_delay_network is networks.build_delay_network
 
 
 def test_storage_loop_anchors():
@@ -209,3 +207,35 @@ def test_network_json_roundtrip():
         assert networks.metrics(back) == networks.metrics(net)
         assert back.name == net.name
         assert len(back.components) == len(net.components)
+
+
+def _tampered(net, index, **changes):
+    doc = json.loads(networks.network_to_json(net))
+    doc["components"][index].update(changes)
+    return json.dumps(doc)
+
+
+def test_validate_rejects_malformed_components():
+    net = networks.build_log_tree(4, 4)
+    kinds = [c.kind for c in net.components]
+    cross = kinds.index("crossing")
+    doc = json.loads(networks.network_to_json(net))
+    good = doc["components"][cross]["params"]["mapping"]
+    bad_docs = [
+        _tampered(net, 0, kind="teleporter"),
+        _tampered(net, cross, params={"crossings": 1}),
+        _tampered(net, cross, params={"mapping": good[:-1], "crossings": 1}),
+        _tampered(net, cross, params={"mapping": [0] * len(good), "crossings": 1}),
+        _tampered(net, cross, params={"mapping": [m + 1 for m in good], "crossings": 1}),
+        _tampered(net, cross, params={"mapping": ["a"] + good[1:], "crossings": 1}),
+        _tampered(net, cross, params=[good]),
+    ]
+    for text in bad_docs:
+        with pytest.raises(ValueError):
+            networks.network_from_json(text)
+    # metrics validates too, so a hand-built crossing without a mapping is
+    # reported as bad input rather than a KeyError
+    comps = list(net.components)
+    comps[cross] = networks.Component("crossing", comps[cross].in_ports, comps[cross].out_ports, {})
+    with pytest.raises(ValueError):
+        networks.metrics(dataclasses.replace(net, components=tuple(comps)))
