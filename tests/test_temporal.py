@@ -131,6 +131,70 @@ def test_tetris_dominates_non_tetris_pathwise():
     assert flips > 0  # the per-bin shifts must rescue some occupancies
 
 
+def _shift(mask, c, m):
+    return ((mask << c) | (mask >> (m - c))) & ((1 << m) - 1)
+
+
+def _brute_force_tetris_route(occ, net):
+    """Reference router: first of all modes**bins schedules, in lexicographic order."""
+    m, b = occ.modes, occ.bins
+    masks = [sum(1 << j for j in range(m) if occ.grid[j][t]) for t in range(b)]
+    for schedule in itertools.product(range(m), repeat=b):
+        covered = 0
+        for t, mask in enumerate(masks):
+            covered |= _shift(mask, schedule[t], m)
+        if covered != (1 << m) - 1:
+            continue
+        ports = [None] * m
+        for t in range(b):
+            for j in range(m):
+                if occ.grid[j][t]:
+                    ports[(j + schedule[t]) % m] = (j, t)  # latest photon wins
+        align = max(t for _, t in ports)
+        window = net.word_positions()[tuple(align - t for _, t in ports)]
+        return temporal.DeBruijnRoute(True, schedule, tuple(ports), window, align)
+    return temporal.DeBruijnRoute(False, (0,) * b, (None,) * m, -1, -1)
+
+
+@pytest.mark.parametrize("m,b", [(1, 3), (2, 2), (3, 3), (4, 3), (3, 4), (2, 5)])
+def test_tetris_route_is_the_first_schedule_on_every_occupancy(m, b):
+    net = temporal.DelayNetwork(m, b, temporal.reduced_de_bruijn(b, m))
+    for bits in range(1 << (m * b)):
+        occ = _occ([[bits >> (j * b + t) & 1 for t in range(b)] for j in range(m)])
+        assert temporal.debruijn_mux_route(occ, net, tetris=True) == _brute_force_tetris_route(occ, net)
+
+
+def _ordered_tuple_tetris_probability(m, b, p):
+    """Reference: sum over all (2**m)**b ordered mask tuples, reach sets per prefix."""
+    weight = [p ** bin(x).count("1") * (1 - p) ** (m - bin(x).count("1")) for x in range(1 << m)]
+    total = Fraction(0)
+    stack = [(0, frozenset({0}), Fraction(1))]
+    while stack:
+        t, reach, w = stack.pop()
+        if t == b:
+            total += w if (1 << m) - 1 in reach else 0
+            continue
+        for mask in range(1 << m):
+            nxt = frozenset(r | _shift(mask, c, m) for r in reach for c in range(m))
+            stack.append((t + 1, nxt, w * weight[mask]))
+    return total
+
+
+@pytest.mark.parametrize("m,b,p", [(2, 6, Fraction(1, 3)), (3, 4, Fraction(1, 5)), (3, 5, Fraction(3, 10))])
+def test_tetris_probability_matches_ordered_tuple_enumeration(m, b, p):
+    assert temporal.tetris_success_probability(m, b, p) == _ordered_tuple_tetris_probability(m, b, p)
+
+
+def test_tetris_route_on_a_long_full_window():
+    occ = _occ([[1] * 1500] * 2)
+    net = temporal.DelayNetwork(2, 1500, temporal.reduced_de_bruijn(2, 2))  # delays 0, 1
+    route = temporal.debruijn_mux_route(occ, net, tetris=True)
+    assert route.success
+    assert route.shifts == (0,) * 1500
+    assert route.ports == ((0, 1499), (1, 1499))
+    assert temporal.replay_debruijn_route(net, route) == (1499, 1499)
+
+
 def test_spatiotemporal_identity_case():
     # photons already contiguous and aligned need no movement at all
     occ = _occ([[0, 1], [0, 1], [0, 1], [0, 0], [0, 0]])
