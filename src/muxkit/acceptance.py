@@ -83,6 +83,20 @@ def _check_classification(quick: bool):
     return ok, detail, {"n8_types": [list(s) for s in specs8], "counts": counts}
 
 
+def _check_device(dev: gmzi.GmziDevice) -> tuple[bool, float]:
+    """Latin-square routing, stage error <= 1e-9 and every setting matrix equal
+    to its digit-shift permutation up to a global phase; returns (ok, stage error)."""
+    table = gmzi.routing_table(dev)
+    want = np.arange(dev.n_modes)
+    latin = (np.sort(table, axis=0) == want[:, None]).all() and (np.sort(table, axis=1) == want).all()
+    err = float(np.abs(gmzi.decompose_stages(dev).matrix() - dev.passive()).max())
+    ok = bool(latin) and err <= 1e-9 and all(
+        equal_up_to_global_phase(gmzi.setting_matrix(dev, k), perm_matrix(gmzi.setting_permutation(dev, k)), tol=1e-9)
+        for k in range(dev.n_settings)
+    )
+    return ok, err
+
+
 def _check_device_permutations(quick: bool):
     ok = True
     checked = 0
@@ -90,19 +104,10 @@ def _check_device_permutations(quick: bool):
     for n in range(2, 17):
         for spec in gmzi.classify_gmzi_types(n):
             dev = gmzi.build_gmzi(spec)
-            table = gmzi.routing_table(dev)
-            for i in range(n):
-                ok = ok and sorted(table[i]) == list(range(n))
-                ok = ok and sorted(table[:, i]) == list(range(n))
-            dec = gmzi.decompose_stages(dev)
-            err = float(np.abs(dec.matrix() - dev.passive()).max())
+            dev_ok, err = _check_device(dev)
+            ok = ok and dev_ok
             worst = max(worst, err)
-            ok = ok and err <= 1e-9
-            for k in range(dev.n_settings):
-                mat = gmzi.setting_matrix(dev, k)
-                perm = perm_matrix(gmzi.setting_permutation(dev, k))
-                ok = ok and equal_up_to_global_phase(mat, perm, tol=1e-9)
-                checked += 1
+            checked += dev.n_settings
     detail = f"{checked} setting matrices equal their digit-shift permutations; stage error <= {worst:.1e}"
     return ok, detail, {"settings_checked": checked, "max_stage_error": worst}
 

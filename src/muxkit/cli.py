@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, analytics, gmzi, gridmux, logic, networks, patterns, temporal
-from .linalg import equal_up_to_global_phase, perm_matrix
 
 __all__ = ["main"]
 
@@ -39,30 +38,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_csv(path: str | None, header: list[str], rows: list[list]) -> str:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(x) for x in row) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, newline="\n")
-    return text
-
-
-def _emit_json(path: str | None, payload) -> str:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, newline="\n")
-    return text
-
-
-def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
-    """One manifest next to the first output file; digests cover all of them."""
-    if not outputs:
-        return
+def _write_output(args: argparse.Namespace, path: str, text: str) -> None:
+    """Write `text` to `path` and `<path>.manifest.json` beside it."""
+    Path(path).write_text(text, newline="\n")
     params = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     manifest = {
         "command": "muxkit " + " ".join(sys.argv[1:]),
@@ -70,10 +48,21 @@ def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()},
+        "outputs": {path: hashlib.sha256(text.encode()).hexdigest()},
     }
-    first = next(iter(outputs))
-    Path(first + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", newline="\n")
+    Path(path + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", newline="\n")
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    """Print `text`, or write it to the --csv file with its manifest."""
+    if not args.csv:
+        sys.stdout.write(text)
+    else:
+        _write_output(args, args.csv, text)
+
+
+def _emit_csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
+    _emit(args, "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
 def _parse_range(spec: str, integer: bool = False) -> list:
@@ -103,14 +92,13 @@ def _parse_ints(spec: str) -> tuple[int, ...]:
 
 
 def _cmd_analyze(args) -> int:
-    outputs = {}
     curve = args.curve
     if curve == "pmux":
         rows = [
             [n, args.p, analytics.p_mux_single(n, args.p)]
             for n in _parse_range(args.n_range, integer=True)
         ]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["n_sources", "p", "p_mux"], rows)
+        _emit_csv(args, ["n_sources", "p", "p_mux"], rows)
     elif curve == "group":
         rows = []
         for n in _parse_range(args.n_range, integer=True):
@@ -123,31 +111,25 @@ def _cmd_analyze(args) -> int:
                     analytics.optimal_group_pmux(n, args.p, args.m),
                 ]
             )
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["n_sources", "p", "m", "naive", "optimal"], rows)
+        _emit_csv(args, ["n_sources", "p", "m", "naive", "optimal"], rows)
     elif curve == "sources-ratio":
         n_naive, n_opt, ratio = analytics.required_sources_ratio(args.p, args.target, args.m)
         rows = [[args.p, args.target, args.m, n_naive, n_opt, ratio]]
-        outputs[args.csv or "-"] = _emit_csv(
-            args.csv, ["p", "target", "m", "n_naive", "n_optimal", "ratio"], rows
-        )
+        _emit_csv(args, ["p", "target", "m", "n_naive", "n_optimal", "ratio"], rows)
     elif curve == "yield":
         rows = [
             [lam, args.m, args.g, int(args.sharing), analytics.yield_multi_generator(lam, args.m, args.g, args.sharing)]
             for lam in _parse_range(args.lam_range)
         ]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["lam", "m", "g", "sharing", "yield"], rows)
+        _emit_csv(args, ["lam", "m", "g", "sharing", "yield"], rows)
     elif curve == "yield-max":
         lam, y = analytics.max_yield(args.m, args.g, sharing=args.sharing)
         rows = [[args.m, args.g, int(args.sharing), lam, y]]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["m", "g", "sharing", "lam_star", "yield_max"], rows)
+        _emit_csv(args, ["m", "g", "sharing", "lam_star", "yield_max"], rows)
     elif curve == "footprint":
         fp = analytics.footprint(args.n, args.p, args.yield_, args.p_group, args.p_out)
         rows = [[args.n, args.p, args.yield_, args.p_group, args.p_out, fp.copies, fp.sources, fp.sources_approx]]
-        outputs[args.csv or "-"] = _emit_csv(
-            args.csv,
-            ["n_sources", "p", "yield", "p_group", "p_out", "copies", "sources", "sources_approx"],
-            rows,
-        )
+        _emit_csv(args, ["n_sources", "p", "yield", "p_group", "p_out", "copies", "sources", "sources_approx"], rows)
     elif curve == "raster":
         rows = []
         for n in _parse_range(args.n_range, integer=True):
@@ -156,23 +138,22 @@ def _cmd_analyze(args) -> int:
                 row.append(analytics.raster_yield(strategy, n, args.p))
             rows.append(row)
         header = ["n_sources", "p"] + [s.replace("-", "_") for s in analytics.RASTER_STRATEGIES]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, header, rows)
+        _emit_csv(args, header, rows)
     elif curve == "crossover":
         x = analytics.raster_crossover(args.p)
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["p", "crossover_sources"], [[args.p, x]])
+        _emit_csv(args, ["p", "crossover_sources"], [[args.p, x]])
     elif curve == "ghz":
         factors = analytics.ghz_improvement_factors(args.n, args.p)
         rows = [[args.n, args.p, k, v] for k, v in sorted(factors.items())]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["n_sources", "p", "scheme", "factor"], rows)
+        _emit_csv(args, ["n_sources", "p", "scheme", "factor"], rows)
     elif curve == "bsg":
         rows = [[n, analytics.p_bsg(n)] for n in _parse_range(args.n_range, integer=True)]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["n_modes", "p_success"], rows)
+        _emit_csv(args, ["n_modes", "p_success"], rows)
     elif curve == "reduction":
         f = analytics.enlarged_gmzi_mux_reduction()
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["reduction_factor"], [[f]])
+        _emit_csv(args, ["reduction_factor"], [[f]])
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown curve {curve!r}")
-    _write_manifest(args, {k: v for k, v in outputs.items() if k != "-"})
     return 0
 
 
@@ -207,10 +188,8 @@ def _cmd_search(args) -> int:
         header = ["n", "fraction", "value"]
     else:  # pragma: no cover
         raise ValueError(f"unknown circuit {args.circuit!r}")
-    outputs = {}
-    if args.csv:
-        outputs[args.csv] = _emit_csv(args.csv, header, rows)
-    _write_manifest(args, outputs)
+    if args.csv:  # without --csv the report above is the output
+        _emit_csv(args, header, rows)
     return 0
 
 
@@ -220,9 +199,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_gridmux(args) -> int:
     if args.emit_config:
-        text = gridmux.config_to_json(gridmux.default_config())
-        Path(args.emit_config).write_text(text + "\n", newline="\n")
-        _write_manifest(args, {args.emit_config: text + "\n"})
+        _write_output(args, args.emit_config, gridmux.config_to_json(gridmux.default_config()) + "\n")
         return 0
     if args.config:
         cfg = gridmux.config_from_json(Path(args.config).read_text())
@@ -234,8 +211,7 @@ def _cmd_gridmux(args) -> int:
         pt = gridmux.simulate_grid_yield(cfg, p, trials=args.trials, seed=args.seed + i, column_group_type=group_type)
         rows.append([p, pt.estimate.mean, pt.estimate.stderr, pt.bound, pt.naive, pt.estimate.trials, pt.estimate.seed])
     header = ["p", "yield", "stderr", "bound", "naive", "trials", "seed"]
-    outputs = {args.csv or "-": _emit_csv(args.csv, header, rows)}
-    _write_manifest(args, {k: v for k, v in outputs.items() if k != "-"})
+    _emit_csv(args, header, rows)
     return 0
 
 
@@ -244,7 +220,6 @@ def _cmd_gridmux(args) -> int:
 
 
 def _cmd_temporal(args) -> int:
-    outputs = {}
     if args.scheme == "raster":
         rows = []
         for i, n in enumerate(_parse_range(args.n_range, integer=True)):
@@ -266,12 +241,12 @@ def _cmd_temporal(args) -> int:
                 ]
             )
         header = ["n_sources", "p", "enhanced", "groups", "groups_stderr", "yield", "yield_stderr", "closed_form_yield", "seed"]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, header, rows)
+        _emit_csv(args, header, rows)
     elif args.scheme == "debruijn":
         if args.emit_sequence:
             seq = temporal.reduced_de_bruijn(args.modes, args.word_length or args.modes)
             rows = [[i, s] for i, s in enumerate(seq)]
-            outputs[args.csv or "-"] = _emit_csv(args.csv, ["index", "delay"], rows)
+            _emit_csv(args, ["index", "delay"], rows)
         else:
             rows = []
             for p in _parse_range(args.p_range):
@@ -281,7 +256,7 @@ def _cmd_temporal(args) -> int:
                     row.append(float(temporal.tetris_success_probability(args.modes, args.bins, Fraction(p).limit_denominator(10**9))))
                 rows.append(row)
             header = ["modes", "bins", "p", "single_shift_prob"] + (["per_bin_shift_prob"] if args.tetris else [])
-            outputs[args.csv or "-"] = _emit_csv(args.csv, header, rows)
+            _emit_csv(args, header, rows)
     elif args.scheme == "gather":
         rows = []
         for i, p in enumerate(_parse_range(args.p_range)):
@@ -291,7 +266,7 @@ def _cmd_temporal(args) -> int:
             for k, e in est.items():
                 rows.append([args.modes, args.group_size, args.bins, p, k, e.mean, e.stderr, e.seed])
         header = ["modes", "group_size", "bins", "p", "k_groups", "prob_at_least_k", "stderr", "seed"]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, header, rows)
+        _emit_csv(args, header, rows)
     elif args.scheme == "perm":
         perm = _parse_ints(args.perm) if args.perm else tuple(range(args.size))
         sched = temporal.temporal_permutation(args.size, perm, variant=args.variant)
@@ -301,10 +276,9 @@ def _cmd_temporal(args) -> int:
             port, t = arrivals[i]
             rows.append([i, sched.targets[r], sched.first_shifts[i], port, t])
         header = ["input_bin", "target_slot", "delay_line", "output_port", "output_bin"]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, header, rows)
+        _emit_csv(args, header, rows)
     else:  # pragma: no cover
         raise ValueError(f"unknown scheme {args.scheme!r}")
-    _write_manifest(args, {k: v for k, v in outputs.items() if k != "-"})
     return 0
 
 
@@ -313,7 +287,6 @@ def _cmd_temporal(args) -> int:
 
 
 def _cmd_gmzi(args) -> int:
-    outputs = {}
     if args.classify:
         for spec in gmzi.classify_gmzi_types(args.size):
             print(",".join(str(f) for f in spec))
@@ -324,33 +297,21 @@ def _cmd_gmzi(args) -> int:
             dev = gmzi.build_gmzi(spec)
             dec = gmzi.decompose_stages(dev)
             rows.append(["x".join(str(f) for f in spec), gmzi.phase_swing(dev), dec.depth(), dec.total_crossings()])
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["type", "swing", "stages", "crossings"], rows)
-        _write_manifest(args, {k: v for k, v in outputs.items() if k != "-"})
+        _emit_csv(args, ["type", "swing", "stages", "crossings"], rows)
         return 0
     if args.report == "vectors":
         rows_angles = gmzi.ternary_six_mode_mux_settings()
         rep = gmzi.check_mux_lemma(np.exp(1j * rows_angles).conj().T / np.sqrt(6), rows_angles)
         rows = [[i] + list(row) for i, row in enumerate(rows_angles)]
-        outputs[args.csv or "-"] = _emit_csv(args.csv, ["setting"] + [f"mode{m}" for m in range(6)], rows)
+        _emit_csv(args, ["setting"] + [f"mode{m}" for m in range(6)], rows)
         print(f"orthonormal: {rep.orthonormal_ok} (max deviation {rep.max_gram_deviation:.3e})")
-        _write_manifest(args, {k: v for k, v in outputs.items() if k != "-"})
         return 0
     spec = _parse_ints(args.type) if args.type else gmzi.classify_gmzi_types(args.size)[0]
     if math.prod(spec) != args.size:
         raise ValueError(f"type {spec} has order {math.prod(spec)}, but --size is {args.size}")
     dev = gmzi.build_gmzi(spec)
     if args.verify:
-        table = gmzi.routing_table(dev)
-        ok = True
-        for i in range(dev.n_modes):
-            ok = ok and sorted(table[i]) == list(range(dev.n_modes))
-            ok = ok and sorted(table[:, i]) == list(range(dev.n_modes))
-        for k in range(dev.n_settings):
-            ok = ok and equal_up_to_global_phase(
-                gmzi.setting_matrix(dev, k), perm_matrix(gmzi.setting_permutation(dev, k)), tol=1e-9
-            )
-        err = float(np.abs(gmzi.decompose_stages(dev).matrix() - dev.passive()).max())
-        ok = ok and err <= 1e-9
+        ok, err = acceptance._check_device(dev)
         print(f"device {spec}: settings permute with Latin-square routing, stage error {err:.2e}")
         if not ok:
             print("verification FAILED", file=sys.stderr)
@@ -358,9 +319,7 @@ def _cmd_gmzi(args) -> int:
         return 0
     text = gmzi.device_to_json(dev)
     if args.json:
-        Path(args.json).write_text(text + "\n", newline="\n")
-        outputs[args.json] = text + "\n"
-        _write_manifest(args, outputs)
+        _write_output(args, args.json, text + "\n")
     else:
         print(text)
     return 0
@@ -385,11 +344,7 @@ def _cmd_logic(args) -> int:
         text = "\n".join(lines) + "\n"
     else:  # pragma: no cover
         raise ValueError(f"unknown table {args.table!r}")
-    if args.csv:
-        Path(args.csv).write_text(text, newline="\n")
-        _write_manifest(args, {args.csv: text})
-    else:
-        sys.stdout.write(text)
+    _emit(args, text)
     return 0
 
 
@@ -413,9 +368,7 @@ def _cmd_net(args) -> int:
         f"couplers {met.n_couplers} crossings {met.crossing_count} delays {delays}"
     )
     if args.out:
-        text = networks.network_to_json(net) + "\n"
-        Path(args.out).write_text(text, newline="\n")
-        _write_manifest(args, {args.out: text})
+        _write_output(args, args.out, networks.network_to_json(net) + "\n")
     return 0
 
 
@@ -436,8 +389,7 @@ def _cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        text = _emit_json(args.json, payload)
-        _write_manifest(args, {args.json: text})
+        _write_output(args, args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0 if n_pass == len(results) else 1
 
 

@@ -10,6 +10,7 @@ input port 0 to output port k.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -140,7 +141,7 @@ def specs_isomorphic(a, b) -> bool:
 # ---------------------------------------------------------------------------
 # device construction
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmziDevice:
     """An N-mode switch device with N settings.
 
@@ -149,6 +150,8 @@ class GmziDevice:
         n_modes: product of the factors.
         offsets: fixed additive phase offsets per shifter, or None.
         setting_phases: free global phase per setting (radians), default zeros.
+
+    Devices compare and hash by the values of these fields.
     """
 
     factors: tuple[int, ...]
@@ -159,6 +162,16 @@ class GmziDevice:
     def __post_init__(self):
         if self.setting_phases is None:
             object.__setattr__(self, "setting_phases", np.zeros(self.n_modes))
+
+    def _key(self) -> tuple:
+        offsets = None if self.offsets is None else tuple(np.ravel(self.offsets).tolist())
+        return self.factors, self.n_modes, offsets, tuple(np.ravel(self.setting_phases).tolist())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, GmziDevice) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_settings(self) -> int:
@@ -329,9 +342,15 @@ class Stage:
         return _inversions(self.pre) + _inversions(self.post)
 
 
-def _inversions(mapping: np.ndarray) -> int:
-    m = list(mapping)
-    return sum(1 for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] > m[j])
+def _inversions(mapping) -> int:
+    """Pairs i < j with mapping[i] > mapping[j], counted right to left by bisection."""
+    seen: list[int] = []
+    count = 0
+    for x in reversed(np.asarray(mapping).tolist()):
+        k = bisect.bisect_left(seen, x)
+        count += k
+        seen.insert(k, x)
+    return count
 
 
 @dataclass(frozen=True)

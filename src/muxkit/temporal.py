@@ -10,6 +10,8 @@ appears as a contiguous window.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -214,13 +216,13 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
 
     Without tetris a single cyclic shift applies to the whole window, so
     success needs every mode occupied.  With tetris the shift may change
-    every bin; all modes**bins schedules are tried in lexicographic order.
+    every bin; the route uses the lexicographically first per-bin schedule
+    that puts a photon on every port (see `_tetris_schedule`).
     """
     m, b = occ.modes, occ.bins
     if network.modes != m or network.bins != b:
         raise ValueError("network dims do not match occupancy")
     bin_masks = [sum(1 << j for j in range(m) if occ.grid[j][t]) for t in range(b)]
-    full = (1 << m) - 1
 
     if not tetris:
         for c in range(m):
@@ -229,15 +231,39 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
                 return _witness(network, (c,) * b, picked)
         return _failed(occ)
 
-    for schedule in itertools.product(range(m), repeat=b):
-        covered = 0
-        for t, mask in enumerate(bin_masks):
-            covered |= _shift_mask(mask, schedule[t], m)
-        if covered == full:
-            picked = _pick_ports(bin_masks, m, b, schedule)
-            assert picked is not None
-            return _witness(network, schedule, picked)
-    return _failed(occ)
+    schedule = _tetris_schedule(bin_masks, m)
+    if schedule is None:
+        return _failed(occ)
+    picked = _pick_ports(bin_masks, m, b, schedule)
+    assert picked is not None
+    return _witness(network, schedule, picked)
+
+
+def _tetris_schedule(bin_masks: Sequence[int], m: int) -> tuple[int, ...] | None:
+    """Lexicographically first per-bin shift schedule covering all m ports.
+
+    reach[t] is the set of port masks covered by some choice of shifts for
+    bins 0..t-1; if the full mask is not in reach[b] no schedule exists.
+    Otherwise a backward pass keeps the states that can still complete to
+    the full mask, and a forward walk takes the smallest shift per bin that
+    stays among them.
+    """
+    full = (1 << m) - 1
+    shifted = [[_shift_mask(mask, c, m) for c in range(m)] for mask in bin_masks]
+    reach = [{0}]
+    for options in shifted:
+        reach.append({r | s for r in reach[-1] for s in options})
+    if full not in reach[-1]:
+        return None
+    alive = [{full}]
+    for options, states in zip(reversed(shifted), reversed(reach[:-1])):
+        alive.append({r for r in states if any(r | s in alive[-1] for s in options)})
+    schedule, state = [], 0
+    for options, ahead in zip(shifted, reversed(alive[:-1])):
+        c = next(c for c, s in enumerate(options) if state | s in ahead)
+        schedule.append(c)
+        state |= options[c]
+    return tuple(schedule)
 
 
 def _shift_mask(mask: int, c: int, m: int) -> int:
@@ -293,36 +319,20 @@ def non_tetris_success_probability(modes: int, bins: int, p: float) -> float:
 def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fraction:
     """Exact success probability with per-bin shifts, by full enumeration.
 
-    Success depends only on the multiset of per-bin mode masks; each multiset
-    is solved once by a reachable-union dynamic program equivalent to trying
-    all modes**bins schedules.
+    Success depends only on the multiset of per-bin mode masks, so the sum
+    runs over multisets of b masks, each weighted by its multinomial count of
+    orderings, and `_tetris_schedule` solves each multiset once.
     """
     p = Fraction(p).limit_denominator(10 ** 9) if not isinstance(p, Fraction) else p
     m, b = modes, bins
     if m * b > 24:
         raise ValueError("enumeration limited to small grids")
-    full = (1 << m) - 1
-
-    shift_table = [[_shift_mask(mask, c, m) for c in range(m)] for mask in range(1 << m)]
-    memo: dict[tuple[int, ...], bool] = {}
-
-    def solvable(masks: tuple[int, ...]) -> bool:
-        key = tuple(sorted(masks))
-        if key not in memo:
-            reach = {0}
-            for mask in key:
-                reach = {r | s for r in reach for s in shift_table[mask]}
-            memo[key] = full in reach
-        return memo[key]
-
     weight = [p ** bin(mask).count("1") * (1 - p) ** (m - bin(mask).count("1")) for mask in range(1 << m)]
     total = Fraction(0)
-    for masks in itertools.product(range(1 << m), repeat=b):
-        if solvable(masks):
-            w = Fraction(1)
-            for mask in masks:
-                w *= weight[mask]
-            total += w
+    for masks in itertools.combinations_with_replacement(range(1 << m), b):
+        if _tetris_schedule(masks, m) is not None:
+            orderings = math.factorial(b) // math.prod(map(math.factorial, Counter(masks).values()))
+            total += orderings * math.prod(weight[mask] for mask in masks)
     return total
 
 

@@ -447,3 +447,30 @@ def test_routing_table_is_the_kronecker_shift_group(factors):
         oracle = matrix_to_mapping(gmzi.setting_permutation_matrix(dev, k))
         assert np.array_equal(table[k], oracle)
         assert np.array_equal(gmzi.setting_permutation(dev, k), oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 40), max_size=60))
+def test_inversions_match_the_pairwise_count(values):
+    pairwise = sum(1 for i in range(len(values)) for j in range(i + 1, len(values)) if values[i] > values[j])
+    assert gmzi._inversions(values) == pairwise
+    assert gmzi._inversions(np.array(values, dtype=np.int64)) == pairwise
+
+
+def test_devices_compare_and_hash_by_value():
+    a = gmzi.build_gmzi((4, 2))
+    b = gmzi.build_gmzi([4, 2])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != gmzi.build_gmzi((2, 4))
+    assert a != gmzi.build_gmzi((8,))
+    offs = np.linspace(-1.0, 0.0, 8)
+    c = gmzi.build_gmzi((4, 2), offsets=offs)
+    assert c != a and a != c
+    assert c == gmzi.build_gmzi((4, 2), offsets=offs.copy())
+    assert hash(c) == hash(gmzi.build_gmzi((4, 2), offsets=offs.copy()))
+    assert c != gmzi.build_gmzi((4, 2), offsets=offs + 0.5)
+    assert gmzi.device_from_json(gmzi.device_to_json(a)) == a
+    phased = gmzi.GmziDevice(a.factors, a.n_modes, None, np.full(8, 0.25))
+    assert phased != a
+    assert a != "not a device"

@@ -195,6 +195,18 @@ def test_tetris_route_on_a_long_full_window():
     assert temporal.replay_debruijn_route(net, route) == (1499, 1499)
 
 
+def test_tetris_route_on_a_long_sparse_window():
+    # 2**1500 schedules: only a dynamic program finds the first covering one
+    net = temporal.DelayNetwork(2, 1500, temporal.reduced_de_bruijn(2, 2))
+    one_mode = _occ([[1] * 1500, [0] * 1500])
+    route = temporal.debruijn_mux_route(one_mode, net, tetris=True)
+    assert route.shifts == (0,) * 1499 + (1,)
+    assert route.ports == ((0, 1498), (0, 1499))
+    assert temporal.replay_debruijn_route(net, route) == (1499, 1499)
+    lone = _occ([[0] * 1499 + [1], [0] * 1500])
+    assert not temporal.debruijn_mux_route(lone, net, tetris=True).success
+
+
 def test_spatiotemporal_identity_case():
     # photons already contiguous and aligned need no movement at all
     occ = _occ([[0, 1], [0, 1], [0, 1], [0, 0], [0, 0]])
