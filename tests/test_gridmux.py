@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxkit import analytics, gridmux
 from muxkit.gmzi import _mixed_radix
@@ -215,15 +217,20 @@ ROUTE_DIGESTS = {
 }
 
 
-def _route_digest(cfg, group_type):
+def _public_route(cfg, occ, group_type):
+    out = gridmux.route(cfg, occ, group_type)
+    return out.group_success, out.column_settings, out.row_sources
+
+
+def _route_digest(cfg, group_type, router=_public_route):
     h = hashlib.sha256()
     for p in (0.02, 0.1, 0.4, 0.8):
         for seed in range(12):
-            out = gridmux.route(cfg, _occupancy(cfg, p, seed), group_type)
+            success, settings, sources = router(cfg, _occupancy(cfg, p, seed), group_type)
             record = [
-                list(out.group_success),
-                sorted([c, list(s)] for c, s in out.column_settings.items()),
-                sorted(out.row_sources.items()),
+                list(success),
+                sorted([c, list(s)] for c, s in settings.items()),
+                sorted(sources.items()),
             ]
             h.update(json.dumps(record).encode())
     return h.hexdigest()
@@ -239,3 +246,99 @@ def test_simulate_yield_rejects_bad_p():
     for p in (-1.0, -1e-12, 1.5, float("nan")):
         with pytest.raises(ValueError):
             gridmux.simulate_grid_yield(cfg, p, trials=4, seed=0)
+
+
+def _oracle_route(cfg, occupancy, factors=None):
+    """Scalar greedy lock/release routing, digit by digit: the reference for gridmux's router.
+
+    Returns (group success, column -> setting digits, row -> source column).
+    """
+    col_rows = [cfg.column_rows(c) for c in range(len(cfg.columns))]
+    fac = [tuple(factors) if factors is not None else _default_factors(len(rows)) for rows in col_rows]
+
+    def digits(x, f):  # first factor most significant
+        out = []
+        for n in reversed(f):
+            out.append(x % n)
+            x //= n
+        return tuple(reversed(out))
+
+    def minus(b, a, f):  # the position with digits (b - a) mod f
+        x = 0
+        for da, db, n in zip(digits(a, f), digits(b, f), f):
+            x = x * n + (db - da) % n
+        return x
+
+    locked, row_sources, success = {}, {}, []
+    for g in range(cfg.generators):
+        claimed, filled, ok = {}, {}, True
+        for r in range(g * cfg.group_size, (g + 1) * cfg.group_size):
+            for c in cfg.row_columns(r):
+                rows, f = col_rows[c], fac[c]
+                target = rows.index(r)
+                setting = claimed.get(c, locked.get(c))
+                if setting is not None:
+                    # setting s moves position (target - s) onto target
+                    if occupancy[rows[minus(target, setting, f)]][c]:
+                        break
+                elif any(occupancy[q][c] for q in rows):
+                    lowest = next(i for i, q in enumerate(rows) if occupancy[q][c])
+                    claimed[c] = minus(target, lowest, f)  # moves the lowest photon onto target
+                    break
+            else:
+                ok = False
+                break
+            filled[r] = c
+        success.append(ok)
+        if ok:
+            locked.update(claimed)
+            row_sources.update(filled)
+    return tuple(success), {c: digits(s, fac[c]) for c, s in locked.items()}, row_sources
+
+
+def _factorizations(n):
+    if n == 1:
+        return [()]
+    return [(d,) + rest for d in range(2, n + 1) if n % d == 0 for rest in _factorizations(n // d)]
+
+
+@st.composite
+def _grid_cases(draw):
+    """A small config (column sizes >= 2), an optional factor type valid for it, and occupancies."""
+    generators = draw(st.integers(1, 3))
+    group_size = draw(st.integers(2 if generators == 1 else 1, 3))
+    n_rows = group_size * generators
+    n_cols = draw(st.integers(1, 5))
+    uniform = draw(st.booleans())
+    size = draw(st.integers(2, n_rows))
+    grid = [[False] * n_cols for _ in range(n_rows)]
+    for c in range(n_cols):
+        rows = draw(st.permutations(range(n_rows)))
+        for r in rows[: size if uniform else draw(st.integers(2, n_rows))]:
+            grid[r][c] = True
+    cfg = gridmux.GridMuxConfig(
+        columns=tuple(sum(grid[r][c] for r in range(n_rows)) for c in range(n_cols)),
+        rows=tuple((sum(row), r // group_size) for r, row in enumerate(grid)),
+        grid=tuple(map(tuple, grid)),
+        group_size=group_size,
+        generators=generators,
+    )
+    factors = draw(st.sampled_from([None] + _factorizations(size))) if uniform else None
+    n_trials = draw(st.integers(1, 6))
+    bits = draw(st.lists(st.booleans(), min_size=n_rows * n_cols * n_trials, max_size=n_rows * n_cols * n_trials))
+    occs = np.array(bits, dtype=bool).reshape(n_trials, n_rows, n_cols) & np.array(grid, dtype=bool)
+    return cfg, factors, occs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases())
+def test_route_matches_the_scalar_oracle(case):
+    cfg, factors, occs = case
+    for occ in occs.tolist():
+        out = gridmux.route(cfg, occ, factors)
+        assert (out.group_success, out.column_settings, out.row_sources) == _oracle_route(cfg, occ, factors)
+
+
+@pytest.mark.parametrize("group_type", [None, (2, 2, 4)])
+def test_scalar_oracle_reproduces_the_frozen_route_digests(group_type):
+    assert _route_digest(gridmux.default_config(), group_type, _oracle_route) == ROUTE_DIGESTS[group_type]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxkit import analytics, temporal
 from muxkit.simkit import substream
@@ -250,6 +252,75 @@ def test_extract_photon_groups_consumes():
     assert len({p for ph in used for p in ph}) == 6  # no photon reused
     limited = temporal.extract_photon_groups(4, 3, occ, max_groups=1)
     assert len(limited) == 1
+
+
+def _oracle_find_group(occ, n, max_delay, max_crossing, consumed, start_time):
+    """Set-based first-group search: the reference for temporal's group extraction."""
+    m = occ.modes
+    for align in range(start_time, occ.bins):
+        lo = max(0, align - max_delay)
+        latest = {}  # latest unconsumed photon per mode inside the window
+        for j in range(m):
+            for t in range(align, lo - 1, -1):
+                if occ.grid[j][t] and (j, t) not in consumed:
+                    latest[j] = t
+                    break
+        if len(latest) < n:
+            continue
+        avail = sorted(latest)
+        for s in range(m - n + 1):
+            chosen = temporal._greedy_block_match(avail, s, n, max_crossing)
+            if chosen is not None:
+                photons = tuple((j, latest[j]) for j in chosen)
+                return temporal.GatherRoute(
+                    photons=photons,
+                    block_start=s,
+                    displacements=tuple((s + i) - j for i, j in enumerate(chosen)),
+                    delays=tuple(align - t for _, t in photons),
+                    align_time=align,
+                    output_shift=(-s) % m,
+                )
+    return None
+
+
+def _oracle_extract(occ, n, max_delay, max_crossing, max_groups):
+    consumed, groups, start = set(), [], 0
+    while max_groups is None or len(groups) < max_groups:
+        route = _oracle_find_group(occ, n, max_delay, max_crossing, consumed, start)
+        if route is None:
+            break
+        groups.append(route)
+        consumed.update(route.photons)
+        start = route.align_time
+    return groups
+
+
+@st.composite
+def _gather_cases(draw):
+    """A random occupancy up to 8 x 130 (past 64 bins) and valid extraction limits."""
+    modes = draw(st.integers(1, 8))
+    bins = draw(st.integers(1, 130))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.0, 1.0))
+    grid = np.random.default_rng(seed).random((modes, bins)) < density
+    return (
+        _occ(grid.tolist()),
+        draw(st.integers(1, modes)),
+        draw(st.integers(0, 5)),
+        draw(st.integers(0, 4)),
+        draw(st.none() | st.integers(1, 6)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gather_cases())
+def test_group_extraction_matches_the_set_oracle(case):
+    occ, n, max_delay, max_crossing, max_groups = case
+    got = temporal.extract_photon_groups(occ.modes, n, occ, max_delay, max_crossing, max_groups)
+    assert got == _oracle_extract(occ, n, max_delay, max_crossing, max_groups)
+    if n < occ.modes:
+        first = temporal.spatiotemporal_debruijn(occ.modes, n, occ, max_delay, max_crossing)
+        assert first == _oracle_find_group(occ, n, max_delay, max_crossing, set(), 0)
 
 
 def test_simulate_group_extraction():
