@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytics
 from .gmzi import _mixed_radix
-from .simkit import Estimate, TrialStreams, reduce_values
+from .simkit import Estimate, reduce_values, run_trials
 
 __all__ = [
     "GridMuxConfig",
@@ -149,37 +149,53 @@ def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
 
 @dataclass(frozen=True)
 class _Layout:
-    """Per-(config, factors) routing data, with settings as integer indices."""
+    """Per-(config, factors) routing tables, with settings as integer indices.
+
+    Per row r, over the columns serving it by ascending index (``cols[r]``):
+    ``source[r][j, s]`` is the flat cell index (row * columns + column) that
+    setting s of column ``cols[r][j]`` moves onto row r's cell, and
+    ``claim[r][j, q]`` the setting moving row q's cell there (-1 if row q has
+    no cell in that column).  Settings past a column's size are padding.
+    """
 
     digits: tuple  # per column: setting index -> digit tuple
-    claim: tuple  # per column: [row][b] -> setting moving the row's cell onto position b
-    source_row: tuple  # per column: [s][b] -> row of the cell setting s moves onto position b
-    scan: tuple  # per row: (column, target position) by ascending column
+    cols: tuple  # per row: (k,) serving columns, ascending
+    source: tuple  # per row: (k, max column size) flat source cell per setting
+    claim: tuple  # per row: (k, rows) setting claiming each row's cell
     unmarked: tuple  # (row, column) cells outside the grid
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
-    n_rows = len(config.rows)
-    digits, claim, source_row, position = [], [], [], []
+    n_rows, n_cols = len(config.rows), len(config.columns)
+    width = max(config.columns, default=1)
+    digits = []
+    source = np.zeros((n_rows, n_cols, width), dtype=np.int64)  # [r, c, s]
+    claim = np.full((n_rows, n_cols, n_rows), -1, dtype=np.int64)  # [r, c, q]
     for c, size in enumerate(config.columns):
         f = factors if factors is not None else _default_factors(size)
         if math.prod(f) != size:
             raise ValueError("column group order must equal column size")
         col_digits, table = _shift_table(f)
-        rows_of = config.column_rows(c)
-        rows = np.array(rows_of, dtype=np.int64)
-        by_row = np.full((n_rows, size), -1, dtype=np.int64)  # unmarked rows never hold a photon
-        by_row[rows] = table
+        rows = np.array(config.column_rows(c), dtype=np.int64)
         digits.append(col_digits)
-        claim.append(tuple(map(tuple, by_row.tolist())))
-        source_row.append(tuple(map(tuple, rows[table].tolist())))
-        position.append({r: i for i, r in enumerate(rows_of)})
-    scan = tuple(tuple((c, position[c][r]) for c in config.row_columns(r)) for r in range(n_rows))
+        # table[a, b]: setting moving position a onto b; read with a as a
+        # setting, the source position it moves onto b
+        source[rows, c, :size] = (rows[table] * n_cols + c).T
+        claim[rows[:, None], c, rows[None, :]] = table.T
+    cols = tuple(np.array(config.row_columns(r), dtype=np.int64) for r in range(n_rows))
+    for table in (source, claim):
+        table.flags.writeable = False
     unmarked = tuple(
-        (r, c) for r in range(n_rows) for c in range(len(config.columns)) if not config.grid[r][c]
+        (r, c) for r in range(n_rows) for c in range(n_cols) if not config.grid[r][c]
     )
-    return _Layout(tuple(digits), tuple(claim), tuple(source_row), scan, unmarked)
+    return _Layout(
+        tuple(digits),
+        cols,
+        tuple(source[r, cols[r]] for r in range(n_rows)),
+        tuple(claim[r, cols[r]] for r in range(n_rows)),
+        unmarked,
+    )
 
 
 @dataclass(frozen=True)
@@ -203,46 +219,59 @@ def route(
     A group that cannot fill some row releases every column it claimed.
     """
     layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
-    occupancy = [tuple(map(bool, row)) for row in occupancy]
+    occ = np.array(occupancy, dtype=bool).reshape(1, len(config.rows), len(config.columns))
     for r, c in layout.unmarked:
-        if occupancy[r][c]:
+        if occ[0, r, c]:
             raise ValueError(f"occupancy on unmarked cell ({r}, {c})")
-    success, locked, row_sources = _route(config, layout, occupancy)
-    settings = {c: layout.digits[c][s] for c, s in locked.items()}
-    return RoutingOutcome(success, settings, row_sources)
+    success, settings, sources = _route_batch(config, layout, occ)
+    return RoutingOutcome(
+        tuple(success[0].tolist()),
+        {c: layout.digits[c][s] for c, s in enumerate(settings[0].tolist()) if s >= 0},
+        {r: c for r, c in enumerate(sources[0].tolist()) if c >= 0},
+    )
 
 
-def _route(config: GridMuxConfig, layout: _Layout, occupancy: Sequence[Sequence[bool]]):
-    """route on a validated occupancy of bools: (group success, column -> setting index, row sources)."""
-    columns = list(zip(*occupancy))  # columns[c][r]
-    claim, source_row = layout.claim, layout.source_row
-    locked: dict[int, int] = {}
-    row_sources: dict[int, int] = {}
-    success = []
+def _route_batch(config: GridMuxConfig, layout: _Layout, occ: np.ndarray):
+    """``route`` on a (T, rows, columns) stack of occupancies, one trial per row.
+
+    Returns (T, groups) group success, (T, columns) locked setting indices
+    and (T, rows) source columns, both -1 where unset.  A group works on a
+    copy of the locked settings (its claims overlay them); on success the
+    copy is kept, on failure it is dropped.
+    """
+    trials, n_rows, n_cols = occ.shape
+    flat = occ.reshape(trials, n_rows * n_cols)
+    nonempty = occ.any(axis=1)  # (T, C)
+    lowest = occ.argmax(axis=1)  # (T, C): first occupied row of each column
+    every = np.arange(trials)
+    locked = np.full((trials, n_cols), -1, dtype=np.int64)
+    sources = np.full((trials, n_rows), -1, dtype=np.int64)
+    success = np.zeros((trials, config.generators), dtype=bool)
     for g in range(config.generators):
-        claimed: dict[int, int] = {}
-        filled: dict[int, int] = {}
-        ok = True
-        for r in range(g * config.group_size, (g + 1) * config.group_size):
-            for c, target in layout.scan[r]:
-                setting = claimed.get(c, locked.get(c))
-                if setting is not None:
-                    if columns[c][source_row[c][setting][target]]:
-                        break
-                elif True in columns[c]:
-                    # positions ascend with rows, so the first occupied row
-                    # is the column's lowest occupied cell
-                    claimed[c] = claim[c][columns[c].index(True)][target]
-                    break
-            else:
-                ok = False
+        rows = range(g * config.group_size, (g + 1) * config.group_size)
+        setting = locked.copy()
+        alive = np.ones(trials, dtype=bool)
+        for r in rows:
+            cols = layout.cols[r]
+            if not len(cols):
+                alive[:] = False
                 break
-            filled[r] = c
-        success.append(ok)
-        if ok:
-            locked.update(claimed)
-            row_sources.update(filled)
-    return tuple(success), locked, row_sources
+            k = np.arange(len(cols))
+            current = setting[:, cols]  # (T, k); -1 where the column is free
+            served = flat[every[:, None], layout.source[r][k, current]]
+            served = np.where(current >= 0, served, nonempty[:, cols])
+            j = served.argmax(axis=1)  # first serving column in scan order
+            alive &= served[every, j]
+            column = cols[j]
+            sources[:, r] = column
+            claim = np.flatnonzero(alive & (current[every, j] < 0))
+            setting[claim, column[claim]] = layout.claim[r][j[claim], lowest[claim, column[claim]]]
+            if not alive.any():
+                break
+        success[:, g] = alive
+        locked[alive] = setting[alive]
+        sources[~alive, rows.start:rows.stop] = -1
+    return success, locked, sources
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +298,19 @@ def simulate_grid_yield(
     Empty trials contribute zero.  Cells are sampled in row-major order over
     the marked cells so results are reproducible per (seed, trial).
     """
-    analytics.check_probability(p)
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
     layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
     mask = np.array(config.grid, dtype=bool)
-    n_marked = int(mask.sum())
-    occupancy = np.zeros(mask.shape, dtype=bool)
-    streams = TrialStreams(seed)
-    vals = np.empty(trials, dtype=np.float64)
-    for trial in range(trials):
-        hits = streams.trial(trial).random(n_marked) < p
-        n_photons = int(hits.sum())
-        if n_photons == 0:
-            vals[trial] = 0.0
-            continue
-        occupancy[mask] = hits  # marked cells in row-major order
-        success, _, _ = _route(config, layout, occupancy.tolist())
-        vals[trial] = config.group_size * sum(success) / n_photons
-    est = reduce_values(vals, seed)
+
+    def kernel(u: np.ndarray) -> np.ndarray:
+        hits = u < p
+        occ = np.zeros((len(u), *mask.shape), dtype=bool)
+        occ[:, mask] = hits  # marked cells in row-major order
+        photons = hits.sum(axis=1)
+        success = _route_batch(config, layout, occ)[0].sum(axis=1)
+        # empty trials contribute zero
+        return np.divide(config.group_size * success, photons, out=np.zeros(len(u)), where=photons > 0)
+
+    est = reduce_values(run_trials(kernel, (int(mask.sum()),), p, trials, seed), seed)
     return GridYieldPoint(p=p, estimate=est, bound=bound_curve(config, p), naive=naive_curve(config, p))
 
 

@@ -5,6 +5,13 @@ Every trial draws from its own counter-based Philox stream keyed by
 subset of trials can be reproduced in isolation.  A Monte-Carlo call keeps
 one generator for all of its trials and resets its key per trial, which
 draws the same numbers as a fresh substream without building one.
+
+The simulators run in three steps through ``run_trials``: draw a block of
+trials, row i of a block starting at trial ``start`` being the uniforms of
+``substream(seed, start + i)``; run one vectorised kernel over the block;
+reduce the per-trial values with ``reduce_values``.  A block holds at most
+``_BLOCK_BYTES`` (1 MiB) of doubles, so memory stays flat however many
+trials run.
 """
 
 from __future__ import annotations
@@ -17,7 +24,17 @@ import numpy as np
 
 from .analytics import check_probability
 
-__all__ = ["Estimate", "substream", "TrialStreams", "sample_occupancy", "estimate", "reduce_values"]
+__all__ = [
+    "Estimate",
+    "substream",
+    "TrialStreams",
+    "run_trials",
+    "sample_occupancy",
+    "estimate",
+    "reduce_values",
+]
+
+_BLOCK_BYTES = 1 << 20  # cap on one block of uniforms
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,32 @@ class TrialStreams:
         self._key[1] = int(np.uint64(trial_index))
         self._bit_generator.state = self._state
         return self._generator
+
+
+def run_trials(
+    kernel: Callable[[np.ndarray], np.ndarray], shape: tuple[int, ...], p: float, trials: int, seed: int
+) -> np.ndarray:
+    """Per-trial kernel outputs over ``trials`` substreams of ``seed``, stacked on axis 0.
+
+    Draws trials block by block: a ``(chunk, *shape)`` float64 block whose
+    row i holds the uniforms of ``substream(seed, start + i)``, then hands
+    the block to ``kernel``, which returns one row of output per trial.
+    ``chunk`` keeps a block within ``_BLOCK_BYTES``.  Checks the arguments
+    every simulator shares: p in [0, 1] and at least two trials.
+    """
+    check_probability(p)
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+    chunk = min(trials, max(1, _BLOCK_BYTES // (8 * max(1, math.prod(shape)))))
+    block = np.empty((chunk, *shape), dtype=np.float64)
+    streams = TrialStreams(seed)
+    out = []
+    for start in range(0, trials, chunk):
+        rows = block[: min(chunk, trials - start)]
+        for i, row in enumerate(rows):
+            streams.trial(start + i).random(out=row)
+        out.append(kernel(rows))
+    return np.concatenate(out)
 
 
 def sample_occupancy(shape, p: float, seed: int, trial_index: int) -> np.ndarray:

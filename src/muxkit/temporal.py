@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import analytics
-from .simkit import Estimate, TrialStreams, reduce_values
+from .simkit import Estimate, reduce_values, run_trials
 
 __all__ = [
     "SpaceTimeOccupancy",
@@ -365,33 +365,45 @@ def spatiotemporal_debruijn(
     """
     if not group_size < modes:
         raise ValueError("need group_size < modes")
-    consumed: set[tuple[int, int]] = set()
-    return _find_group(occ, group_size, max_delay, max_crossing, consumed, start_time=0)
+    _check_gather(modes, group_size, occ, max_delay, max_crossing, None)
+    return _find_group(_mode_masks(occ), occ.bins, group_size, max_delay, max_crossing, start_time=0)
+
+
+def _check_gather(modes: int, group_size: int, occ, max_delay: int, max_crossing: int, max_groups: int | None) -> None:
+    if occ is not None and modes != occ.modes:
+        raise ValueError(f"modes {modes} does not match the occupancy's {occ.modes}")
+    if not 1 <= group_size <= modes:
+        raise ValueError("need 1 <= group_size <= modes")
+    if max_delay < 0 or max_crossing < 0:
+        raise ValueError("max_delay and max_crossing must be >= 0")
+    if max_groups is not None and max_groups < 1:
+        raise ValueError("max_groups must be >= 1")
+
+
+def _mode_masks(occ: SpaceTimeOccupancy) -> list[int]:
+    """Per mode, the photons as a bitmask: bit t set when bin t holds one."""
+    return [sum(1 << t for t, x in enumerate(row) if x) for row in occ.grid]
 
 
 def _find_group(
-    occ: SpaceTimeOccupancy,
+    avail: list[int],
+    bins: int,
     n: int,
     max_delay: int,
     max_crossing: int,
-    consumed: set[tuple[int, int]],
     start_time: int,
 ) -> GatherRoute | None:
-    m = occ.modes
-    for align in range(start_time, occ.bins):
-        lo = max(0, align - max_delay)
+    """First group at an alignment time >= start_time; avail[j] holds mode j's unconsumed photons as bits."""
+    m = len(avail)
+    for align in range(start_time, bins):
+        window = (2 << align) - (1 << max(0, align - max_delay))  # bins lo..align
         # latest unconsumed photon per mode inside the window
-        latest: dict[int, int] = {}
-        for j in range(m):
-            for t in range(align, lo - 1, -1):
-                if occ.grid[j][t] and (j, t) not in consumed:
-                    latest[j] = t
-                    break
+        latest = {j: (a & window).bit_length() - 1 for j, a in enumerate(avail) if a & window}
         if len(latest) < n:
             continue
-        avail = sorted(latest)
+        modes = list(latest)
         for s in range(m - n + 1):
-            chosen = _greedy_block_match(avail, s, n, max_crossing)
+            chosen = _greedy_block_match(modes, s, n, max_crossing)
             if chosen is not None:
                 photons = tuple((j, latest[j]) for j in chosen)
                 return GatherRoute(
@@ -420,6 +432,21 @@ def _greedy_block_match(avail: list[int], s: int, n: int, max_crossing: int) -> 
     return chosen
 
 
+def _extract(avail: list[int], bins: int, n: int, max_delay: int, max_crossing: int, max_groups: int | None) -> list[GatherRoute]:
+    """Greedy repeated extraction; each group clears its photons' bits in avail."""
+    groups: list[GatherRoute] = []
+    start = 0
+    while max_groups is None or len(groups) < max_groups:
+        route = _find_group(avail, bins, n, max_delay, max_crossing, start)
+        if route is None:
+            break
+        groups.append(route)
+        for j, t in route.photons:
+            avail[j] &= ~(1 << t)
+        start = route.align_time  # same window may hold another group
+    return groups
+
+
 def extract_photon_groups(
     modes: int,
     group_size: int,
@@ -429,17 +456,8 @@ def extract_photon_groups(
     max_groups: int | None = None,
 ) -> list[GatherRoute]:
     """Greedy repeated extraction; each group consumes its photons."""
-    consumed: set[tuple[int, int]] = set()
-    groups: list[GatherRoute] = []
-    start = 0
-    while max_groups is None or len(groups) < max_groups:
-        route = _find_group(occ, group_size, max_delay, max_crossing, consumed, start)
-        if route is None:
-            break
-        groups.append(route)
-        consumed.update(route.photons)
-        start = route.align_time  # same window may hold another group
-    return groups
+    _check_gather(modes, group_size, occ, max_delay, max_crossing, max_groups)
+    return _extract(_mode_masks(occ), occ.bins, group_size, max_delay, max_crossing, max_groups)
 
 
 def simulate_group_extraction(
@@ -454,17 +472,26 @@ def simulate_group_extraction(
     max_groups: int = 4,
 ) -> dict[int, Estimate]:
     """P(at least k groups) for k = 1..max_groups over random occupancies."""
-    analytics.check_probability(p)
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    hits = np.zeros((max_groups, trials), dtype=np.float64)
-    streams = TrialStreams(seed)
-    for trial in range(trials):
-        grid = streams.trial(trial).random((modes, bins)) < p
-        occ = SpaceTimeOccupancy(modes, bins, tuple(map(tuple, grid.tolist())))
-        found = len(extract_photon_groups(modes, group_size, occ, max_delay, max_crossing, max_groups))
-        hits[:found, trial] = 1.0
-    return {k: reduce_values(hits[k - 1], seed) for k in range(1, max_groups + 1)}
+    _check_gather(modes, group_size, None, max_delay, max_crossing, max_groups)
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+
+    def kernel(u: np.ndarray) -> np.ndarray:
+        # per (trial, mode) photon bitmasks, exact for any number of bins
+        packed = np.packbits(u < p, axis=2, bitorder="little")
+        width = packed.shape[2]
+        data = packed.tobytes()
+        masks = [int.from_bytes(data[i: i + width], "little") for i in range(0, len(data), width)]
+        return np.array(
+            [
+                len(_extract(masks[i: i + modes], bins, group_size, max_delay, max_crossing, max_groups))
+                for i in range(0, len(masks), modes)
+            ],
+            dtype=np.int64,
+        )
+
+    found = run_trials(kernel, (modes, bins), p, trials, seed)
+    return {k: reduce_values((found >= k).astype(np.float64), seed) for k in range(1, max_groups + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -504,46 +531,38 @@ def raster_simulate(
         supported = ", ".join(list(RASTER_GROUP_STEPS) + list(analytics._RASTER_ALIASES))
         raise ValueError(f"cannot simulate raster strategy {strategy!r}; supported: {supported}")
     run = RASTER_GROUP_STEPS[strategy]
-    if steps % 4:
-        raise ValueError("steps must be a multiple of the 4-step period")
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    if n_sources < 1:
+        raise ValueError("n_sources must be >= 1")
+    if steps < 4 or steps % 4:
+        raise ValueError("steps must be a positive multiple of the 4-step period")
     if strategy == "one-mux":
         q = analytics.p_mux_single(n_sources, p)
-        draws = steps
     else:
         if n_sources % 2:
             raise ValueError("two-mux needs even n_sources")
         q = analytics.p_mux_single(n_sources // 2, p)
-        draws = 2 * steps
+    draws = steps if strategy == "one-mux" else 2 * steps
+    step = np.arange(steps, dtype=np.int32)
 
-    ok = np.empty((trials, steps), dtype=bool)
-    u = np.empty(draws, dtype=np.float64)
-    streams = TrialStreams(seed)
-    for trial in range(trials):
-        streams.trial(trial).random(out=u)
+    def kernel(u: np.ndarray) -> np.ndarray:
+        # per trial and step offset mod 4: completed groups
         if strategy == "one-mux":
-            np.less(u, q, out=ok[trial])
+            ok = u < q
         else:
-            ok[trial] = (u.reshape(steps, 2) < q).all(axis=1)
+            ok = np.logical_and(u[:, 0::2] < q, u[:, 1::2] < q, out=np.empty((len(u), steps), dtype=bool))
+        if enhanced:
+            # position of each step in its run of successes; a greedy group
+            # completes at every multiple of `run` along a run
+            since = step - np.maximum.accumulate(np.where(ok, -1, step), axis=1)
+            done = ok & (since % run == 0)
+        else:
+            done = np.zeros_like(ok)
+            done[:, run - 1::run] = ok.reshape(len(u), steps // run, run).all(axis=2)
+        return done.reshape(len(u), steps // 4, 4).sum(axis=1)
 
-    offsets = np.zeros(4, dtype=np.int64)
-    if enhanced:
-        counts = np.zeros(trials, dtype=np.int64)
-        streak = np.zeros(trials, dtype=np.int64)
-        for t in range(steps):
-            streak = np.where(ok[:, t], streak + 1, 0)
-            done = streak == run
-            counts += done
-            offsets[t % 4] += int(done.sum())
-            streak[done] = 0
-    else:
-        blocks = ok.reshape(trials, steps // run, run).all(axis=2)
-        counts = blocks.sum(axis=1)
-        per_block = blocks.sum(axis=0)
-        for k, c in enumerate(per_block):
-            offsets[(k * run + run - 1) % 4] += int(c)
-
+    by_offset = run_trials(kernel, (draws,), p, trials, seed)
+    counts = by_offset.sum(axis=1)
+    offsets = by_offset.sum(axis=0)
     periods = steps // 4
     groups = reduce_values(counts / periods, seed)
     scale = 1.0 / (n_sources * p) if p > 0 else 0.0

@@ -216,6 +216,20 @@ def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["temporal", "--scheme", "gather", "--modes", "4", "--group-size", "6"],
+        ["temporal", "--scheme", "raster", "--n-range", "0:8:8"],
+    ],
+)
+def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):
+    assert main(argv + ["--trials", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_verify_quick_json_is_byte_stable(tmp_path):
     # two fresh processes must agree byte-for-byte on the numeric report
     texts = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muxkit import analytics, gridmux
+from muxkit import analytics, gridmux, simkit
 from muxkit.gmzi import _mixed_radix
 from muxkit.gridmux import _default_factors
 
@@ -334,9 +334,37 @@ def _grid_cases(draw):
 @given(_grid_cases())
 def test_route_matches_the_scalar_oracle(case):
     cfg, factors, occs = case
-    for occ in occs.tolist():
+    layout = gridmux._layout(cfg, None if factors is None else tuple(factors))
+    success, settings, sources = gridmux._route_batch(cfg, layout, occs)
+    for t, occ in enumerate(occs.tolist()):
+        want = _oracle_route(cfg, occ, factors)
         out = gridmux.route(cfg, occ, factors)
-        assert (out.group_success, out.column_settings, out.row_sources) == _oracle_route(cfg, occ, factors)
+        assert (out.group_success, out.column_settings, out.row_sources) == want
+        batched = (
+            tuple(success[t].tolist()),
+            {c: layout.digits[c][s] for c, s in enumerate(settings[t].tolist()) if s >= 0},
+            {r: c for r, c in enumerate(sources[t].tolist()) if c >= 0},
+        )
+        assert batched == want
+
+
+def test_simulate_yield_across_block_boundaries():
+    # every trial count around the block size must equal a per-trial loop
+    # over substreams through the scalar oracle, bit for bit
+    cfg = gridmux.default_config()
+    mask = np.array(cfg.grid, dtype=bool)
+    chunk = simkit._BLOCK_BYTES // (8 * int(mask.sum()))
+    p, seed = 0.1, 77
+    values = []
+    for t in range(2 * chunk + 3):
+        hits = simkit.substream(seed, t).random(int(mask.sum())) < p
+        occ = np.zeros(mask.shape, dtype=bool)
+        occ[mask] = hits
+        success, _, _ = _oracle_route(cfg, occ.tolist())
+        values.append(cfg.group_size * sum(success) / int(hits.sum()) if hits.any() else 0.0)
+    for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
+        want = simkit.reduce_values(np.array(values[:trials]), seed)
+        assert gridmux.simulate_grid_yield(cfg, p, trials, seed).estimate == want, trials
 
 
 @pytest.mark.parametrize("group_type", [None, (2, 2, 4)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muxkit import analytics, temporal
+from muxkit import analytics, simkit, temporal
 from muxkit.simkit import substream
 
 TETRIS_4X4_QUARTER = Fraction(2504542567, 4294967296)  # exact enumeration
@@ -321,6 +321,29 @@ def test_group_extraction_matches_the_set_oracle(case):
     if n < occ.modes:
         first = temporal.spatiotemporal_debruijn(occ.modes, n, occ, max_delay, max_crossing)
         assert first == _oracle_find_group(occ, n, max_delay, max_crossing, set(), 0)
+    # the bitmask search on its own, past some consumed photons and a later start
+    photons = occ.photons()
+    consumed = set(photons[::3])
+    start = occ.bins // 3
+    avail = [
+        sum(1 << t for t in range(occ.bins) if occ.grid[j][t] and (j, t) not in consumed) for j in range(occ.modes)
+    ]
+    assert temporal._find_group(avail, occ.bins, n, max_delay, max_crossing, start) == _oracle_find_group(
+        occ, n, max_delay, max_crossing, consumed, start
+    )
+
+
+def test_simulate_group_extraction_across_block_boundaries():
+    modes, n, bins, p, seed = 5, 3, 70, 0.2, 13
+    chunk = simkit._BLOCK_BYTES // (8 * modes * bins)
+    found = []
+    for t in range(2 * chunk + 3):
+        grid = simkit.substream(seed, t).random((modes, bins)) < p
+        found.append(len(_oracle_extract(_occ(grid.tolist()), n, 2, 2, 4)))
+    for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
+        got = temporal.simulate_group_extraction(modes, n, bins, p, trials, seed)
+        hits = np.array(found[:trials])
+        assert got == {k: simkit.reduce_values((hits >= k).astype(float), seed) for k in range(1, 5)}, trials
 
 
 def test_simulate_group_extraction():
@@ -340,6 +363,32 @@ def test_simulate_group_extraction_rejects_bad_p():
     for p in (-0.5, 1.5, float("nan")):
         with pytest.raises(ValueError):
             temporal.simulate_group_extraction(6, 4, 4, p, trials=4, seed=21)
+
+
+def test_group_extraction_rejects_invalid_arguments():
+    occ = _occ([[1, 1]] * 4)
+    valid = dict(group_size=3, max_delay=2, max_crossing=2, max_groups=2)
+    for bad in (dict(group_size=5), dict(group_size=0), dict(max_delay=-1), dict(max_crossing=-1), dict(max_groups=0)):
+        kw = valid | bad
+        with pytest.raises(ValueError):
+            temporal.simulate_group_extraction(4, bins=2, p=0.5, trials=4, seed=0, **kw)
+        with pytest.raises(ValueError):
+            temporal.extract_photon_groups(4, occ=occ, **kw)
+    with pytest.raises(ValueError):
+        temporal.extract_photon_groups(5, 3, occ)  # modes disagree with the occupancy
+    with pytest.raises(ValueError):
+        temporal.spatiotemporal_debruijn(4, 3, occ, max_delay=-1)
+    with pytest.raises(ValueError):
+        temporal.simulate_group_extraction(4, 3, 0, 0.5, trials=4, seed=0)
+
+
+def test_raster_rejects_invalid_sizes():
+    for strategy in ("one-mux", "two-mux"):
+        with pytest.raises(ValueError):
+            temporal.raster_simulate(strategy, 0, 0.1, enhanced=False, trials=50, seed=1)
+        for steps in (0, -4):
+            with pytest.raises(ValueError):
+                temporal.raster_simulate(strategy, 16, 0.1, enhanced=True, trials=50, seed=1, steps=steps)
 
 
 def test_raster_simulation_matches_rate_formula():
@@ -368,6 +417,44 @@ def test_raster_enhancement_dominates_pathwise():
             c == 0 for i, c in enumerate(base.completion_offsets) if i not in aligned
         )
         assert sum(plus.completion_offsets) >= sum(base.completion_offsets)
+
+
+def _raster_loop(strategy, n_sources, p, enhanced, trials, seed, steps=96):
+    """Per-trial reference for raster_simulate: one substream and one step loop per trial."""
+    run = temporal.RASTER_GROUP_STEPS[strategy]
+    muxes = 1 if strategy == "one-mux" else 2
+    q = analytics.p_mux_single(n_sources // muxes, p)
+    counts, offsets = [], [0] * 4
+    for t in range(trials):
+        u = simkit.substream(seed, t).random(muxes * steps)
+        ok = [all(x < q for x in u[muxes * i: muxes * (i + 1)]) for i in range(steps)]
+        done = []  # steps at which a group completes
+        if enhanced:
+            streak = 0
+            for i, fired in enumerate(ok):
+                streak = streak + 1 if fired else 0
+                if streak == run:
+                    done.append(i)
+                    streak = 0
+        else:
+            done = [i for i in range(run - 1, steps, run) if all(ok[i - run + 1: i + 1])]
+        counts.append(len(done))
+        for i in done:
+            offsets[i % 4] += 1
+    groups = simkit.reduce_values(np.array(counts) / (steps // 4), seed)
+    scale = 1.0 / (n_sources * p)
+    yield_ = simkit.Estimate(groups.mean * scale, groups.stderr * scale, trials, seed)
+    return temporal.RasterResult(groups, yield_, tuple(offsets))
+
+
+@pytest.mark.parametrize("strategy", ["one-mux", "two-mux"])
+@pytest.mark.parametrize("enhanced", [False, True])
+def test_raster_across_block_boundaries(strategy, enhanced):
+    draws = 96 if strategy == "one-mux" else 2 * 96  # two-mux draws once per mux and step
+    chunk = simkit._BLOCK_BYTES // (8 * draws)
+    for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
+        got = temporal.raster_simulate(strategy, 24, 0.09, enhanced, trials, seed=5)
+        assert got == _raster_loop(strategy, 24, 0.09, enhanced, trials, seed=5), trials
 
 
 def test_raster_aliases_and_guards():
