@@ -9,6 +9,7 @@ are grouped, and a group succeeds when all of its rows receive a photon.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -151,16 +152,19 @@ def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
 class _Layout:
     """Per-(config, factors) routing tables, with settings as integer indices.
 
-    Per row r, over the columns serving it by ascending index (``cols[r]``):
-    ``source[r][j, s]`` is the flat cell index (row * columns + column) that
-    setting s of column ``cols[r][j]`` moves onto row r's cell, and
-    ``claim[r][j, q]`` the setting moving row q's cell there (-1 if row q has
-    no cell in that column).  Settings past a column's size are padding.
+    Cells are numbered row * columns + column; number cells + c is a virtual
+    cell that holds whether column c has any photon.  Per row r, over the
+    columns serving it by ascending index (``cols[r]``): ``source[r][j, s]``
+    is the cell that setting s of column ``cols[r][j]`` moves onto row r's
+    cell, and its last entry, read for the unset setting -1, is the column's
+    virtual cell; ``claim[r][j, q]`` is the setting moving row q's cell there
+    (-1 if row q has no cell in that column).
     """
 
+    groups: tuple  # per group: the range of its rows
     digits: tuple  # per column: setting index -> digit tuple
     cols: tuple  # per row: (k,) serving columns, ascending
-    source: tuple  # per row: (k, max column size) flat source cell per setting
+    source: tuple  # per row: (k, max column size + 1) cell per setting
     claim: tuple  # per row: (k, rows) setting claiming each row's cell
     unmarked: tuple  # (row, column) cells outside the grid
 
@@ -168,10 +172,10 @@ class _Layout:
 @functools.lru_cache(maxsize=64)
 def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
     n_rows, n_cols = len(config.rows), len(config.columns)
-    width = max(config.columns, default=1)
-    digits = []
-    source = np.zeros((n_rows, n_cols, width), dtype=np.int64)  # [r, c, s]
+    source = np.empty((n_rows, n_cols, max(config.columns, default=0) + 1), dtype=np.int64)  # [r, c, s]
+    source[...] = (n_rows * n_cols + np.arange(n_cols))[:, None]  # the virtual cells, until overwritten
     claim = np.full((n_rows, n_cols, n_rows), -1, dtype=np.int64)  # [r, c, q]
+    digits = []
     for c, size in enumerate(config.columns):
         f = factors if factors is not None else _default_factors(size)
         if math.prod(f) != size:
@@ -184,18 +188,14 @@ def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
         source[rows, c, :size] = (rows[table] * n_cols + c).T
         claim[rows[:, None], c, rows[None, :]] = table.T
     cols = tuple(np.array(config.row_columns(r), dtype=np.int64) for r in range(n_rows))
-    for table in (source, claim):
-        table.flags.writeable = False
+    per_row = (cols, tuple(source[r, cols[r]] for r in range(n_rows)), tuple(claim[r, cols[r]] for r in range(n_rows)))
+    for table in itertools.chain(*per_row):
+        table.flags.writeable = False  # shared by every caller through the cache
     unmarked = tuple(
         (r, c) for r in range(n_rows) for c in range(n_cols) if not config.grid[r][c]
     )
-    return _Layout(
-        tuple(digits),
-        cols,
-        tuple(source[r, cols[r]] for r in range(n_rows)),
-        tuple(claim[r, cols[r]] for r in range(n_rows)),
-        unmarked,
-    )
+    groups = tuple(range(g * config.group_size, (g + 1) * config.group_size) for g in range(config.generators))
+    return _Layout(groups, tuple(digits), *per_row, unmarked)
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,13 @@ def route(
     A group that cannot fill some row releases every column it claimed.
     """
     layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
-    occ = np.array(occupancy, dtype=bool).reshape(1, len(config.rows), len(config.columns))
+    occ = np.array(occupancy, dtype=bool)
+    if occ.shape != (len(config.rows), len(config.columns)):
+        raise ValueError(f"occupancy shape {occ.shape} does not match the grid")
     for r, c in layout.unmarked:
-        if occ[0, r, c]:
+        if occ[r, c]:
             raise ValueError(f"occupancy on unmarked cell ({r}, {c})")
-    success, settings, sources = _route_batch(config, layout, occ)
+    success, settings, sources = _route_batch(layout, occ[None])
     return RoutingOutcome(
         tuple(success[0].tolist()),
         {c: layout.digits[c][s] for c, s in enumerate(settings[0].tolist()) if s >= 0},
@@ -231,7 +233,7 @@ def route(
     )
 
 
-def _route_batch(config: GridMuxConfig, layout: _Layout, occ: np.ndarray):
+def _route_batch(layout: _Layout, occ: np.ndarray):
     """``route`` on a (T, rows, columns) stack of occupancies, one trial per row.
 
     Returns (T, groups) group success, (T, columns) locked setting indices
@@ -240,34 +242,31 @@ def _route_batch(config: GridMuxConfig, layout: _Layout, occ: np.ndarray):
     copy is kept, on failure it is dropped.
     """
     trials, n_rows, n_cols = occ.shape
-    flat = occ.reshape(trials, n_rows * n_cols)
-    nonempty = occ.any(axis=1)  # (T, C)
+    # occupied cells, then each column's virtual "has a photon" cell
+    cells = np.concatenate([occ.reshape(trials, n_rows * n_cols), occ.any(axis=1)], axis=1)
     lowest = occ.argmax(axis=1)  # (T, C): first occupied row of each column
     every = np.arange(trials)
     locked = np.full((trials, n_cols), -1, dtype=np.int64)
     sources = np.full((trials, n_rows), -1, dtype=np.int64)
-    success = np.zeros((trials, config.generators), dtype=bool)
-    for g in range(config.generators):
-        rows = range(g * config.group_size, (g + 1) * config.group_size)
+    success = np.zeros((trials, len(layout.groups)), dtype=bool)
+    for g, rows in enumerate(layout.groups):
         setting = locked.copy()
         alive = np.ones(trials, dtype=bool)
         for r in rows:
             cols = layout.cols[r]
-            if not len(cols):
+            if not len(cols):  # a row without cells is never filled
                 alive[:] = False
                 break
-            k = np.arange(len(cols))
             current = setting[:, cols]  # (T, k); -1 where the column is free
-            served = flat[every[:, None], layout.source[r][k, current]]
-            served = np.where(current >= 0, served, nonempty[:, cols])
+            served = cells[every[:, None], layout.source[r][np.arange(len(cols)), current]]
             j = served.argmax(axis=1)  # first serving column in scan order
             alive &= served[every, j]
+            if not alive.any():
+                break
             column = cols[j]
             sources[:, r] = column
             claim = np.flatnonzero(alive & (current[every, j] < 0))
             setting[claim, column[claim]] = layout.claim[r][j[claim], lowest[claim, column[claim]]]
-            if not alive.any():
-                break
         success[:, g] = alive
         locked[alive] = setting[alive]
         sources[~alive, rows.start:rows.stop] = -1
@@ -306,7 +305,7 @@ def simulate_grid_yield(
         occ = np.zeros((len(u), *mask.shape), dtype=bool)
         occ[:, mask] = hits  # marked cells in row-major order
         photons = hits.sum(axis=1)
-        success = _route_batch(config, layout, occ)[0].sum(axis=1)
+        success = _route_batch(layout, occ)[0].sum(axis=1)
         # empty trials contribute zero
         return np.divide(config.group_size * success, photons, out=np.zeros(len(u)), where=photons > 0)
 

@@ -8,7 +8,7 @@ draws the same numbers as a fresh substream without building one.
 
 The simulators run in three steps through ``run_trials``: draw a block of
 trials, row i of a block starting at trial ``start`` being the uniforms of
-``substream(seed, start + i)``; run one vectorised kernel over the block;
+``substream(seed, start + i)``; run one kernel over the block;
 reduce the per-trial values with ``reduce_values``.  A block holds at most
 ``_BLOCK_BYTES`` (1 MiB) of doubles, so memory stays flat however many
 trials run.
@@ -24,15 +24,7 @@ import numpy as np
 
 from .analytics import check_probability
 
-__all__ = [
-    "Estimate",
-    "substream",
-    "TrialStreams",
-    "run_trials",
-    "sample_occupancy",
-    "estimate",
-    "reduce_values",
-]
+__all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "sample_occupancy", "estimate", "reduce_values"]
 
 _BLOCK_BYTES = 1 << 20  # cap on one block of uniforms
 
@@ -80,7 +72,8 @@ class TrialStreams:
 
     def trial(self, trial_index: int) -> np.random.Generator:
         """The generator, reset to the start of substream(seed, trial_index)."""
-        self._key[1] = int(np.uint64(trial_index))
+        in_range = type(trial_index) is int and 0 <= trial_index < 1 << 64
+        self._key[1] = trial_index if in_range else int(np.uint64(trial_index))
         self._bit_generator.state = self._state
         return self._generator
 

@@ -398,7 +398,7 @@ def _find_group(
     for align in range(start_time, bins):
         window = (2 << align) - (1 << max(0, align - max_delay))  # bins lo..align
         # latest unconsumed photon per mode inside the window
-        latest = {j: (a & window).bit_length() - 1 for j, a in enumerate(avail) if a & window}
+        latest = {j: w.bit_length() - 1 for j, a in enumerate(avail) if (w := a & window)}
         if len(latest) < n:
             continue
         modes = list(latest)
@@ -432,7 +432,9 @@ def _greedy_block_match(avail: list[int], s: int, n: int, max_crossing: int) -> 
     return chosen
 
 
-def _extract(avail: list[int], bins: int, n: int, max_delay: int, max_crossing: int, max_groups: int | None) -> list[GatherRoute]:
+def _extract(
+    avail: list[int], bins: int, n: int, max_delay: int, max_crossing: int, max_groups: int | None
+) -> list[GatherRoute]:
     """Greedy repeated extraction; each group clears its photons' bits in avail."""
     groups: list[GatherRoute] = []
     start = 0
@@ -481,14 +483,12 @@ def simulate_group_extraction(
         packed = np.packbits(u < p, axis=2, bitorder="little")
         width = packed.shape[2]
         data = packed.tobytes()
-        masks = [int.from_bytes(data[i: i + width], "little") for i in range(0, len(data), width)]
-        return np.array(
-            [
-                len(_extract(masks[i: i + modes], bins, group_size, max_delay, max_crossing, max_groups))
-                for i in range(0, len(masks), modes)
-            ],
-            dtype=np.int64,
-        )
+        found = np.empty(len(u), dtype=np.int64)
+        for t in range(len(u)):
+            row = t * modes * width
+            avail = [int.from_bytes(data[i: i + width], "little") for i in range(row, row + modes * width, width)]
+            found[t] = len(_extract(avail, bins, group_size, max_delay, max_crossing, max_groups))
+        return found
 
     found = run_trials(kernel, (modes, bins), p, trials, seed)
     return {k: reduce_values((found >= k).astype(np.float64), seed) for k in range(1, max_groups + 1)}
@@ -542,7 +542,7 @@ def raster_simulate(
             raise ValueError("two-mux needs even n_sources")
         q = analytics.p_mux_single(n_sources // 2, p)
     draws = steps if strategy == "one-mux" else 2 * steps
-    step = np.arange(steps, dtype=np.int32)
+    step = np.arange(steps, dtype=np.min_scalar_type(-steps - 1))  # holds -1..steps
 
     def kernel(u: np.ndarray) -> np.ndarray:
         # per trial and step offset mod 4: completed groups
@@ -551,14 +551,21 @@ def raster_simulate(
         else:
             ok = np.logical_and(u[:, 0::2] < q, u[:, 1::2] < q, out=np.empty((len(u), steps), dtype=bool))
         if enhanced:
-            # position of each step in its run of successes; a greedy group
-            # completes at every multiple of `run` along a run
-            since = step - np.maximum.accumulate(np.where(ok, -1, step), axis=1)
-            done = ok & (since % run == 0)
+            # steps since the last failure; a greedy group completes at every
+            # multiple of `run` (a power of two) along a run of successes
+            since = np.where(ok, -1, step)
+            np.maximum.accumulate(since, axis=1, out=since)
+            np.subtract(step, since, out=since)
+            np.bitwise_and(since, run - 1, out=since)
+            done = np.logical_and(since == 0, ok)
         else:
+            # a period-aligned block completes on its last step if every step fires
             done = np.zeros_like(ok)
-            done[:, run - 1::run] = ok.reshape(len(u), steps // run, run).all(axis=2)
-        return done.reshape(len(u), steps // 4, 4).sum(axis=1)
+            blocks = done[:, run - 1::run]
+            np.copyto(blocks, ok[:, 0::run])
+            for i in range(1, run):
+                blocks &= ok[:, i::run]
+        return np.stack([np.count_nonzero(done[:, o::4], axis=1) for o in range(4)], axis=1)
 
     by_offset = run_trials(kernel, (draws,), p, trials, seed)
     counts = by_offset.sum(axis=1)

@@ -89,6 +89,8 @@ def test_route_rejects_occupancy_off_grid():
     bad[r][c] = True
     with pytest.raises(ValueError):
         gridmux.route(cfg, tuple(tuple(x) for x in bad))
+    with pytest.raises(ValueError):
+        gridmux.route(cfg, cfg.grid[:-1])  # a row short
 
 
 def test_route_settings_replay():
@@ -335,7 +337,7 @@ def _grid_cases(draw):
 def test_route_matches_the_scalar_oracle(case):
     cfg, factors, occs = case
     layout = gridmux._layout(cfg, None if factors is None else tuple(factors))
-    success, settings, sources = gridmux._route_batch(cfg, layout, occs)
+    success, settings, sources = gridmux._route_batch(layout, occs)
     for t, occ in enumerate(occs.tolist()):
         want = _oracle_route(cfg, occ, factors)
         out = gridmux.route(cfg, occ, factors)

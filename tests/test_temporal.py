@@ -334,16 +334,19 @@ def test_group_extraction_matches_the_set_oracle(case):
 
 
 def test_simulate_group_extraction_across_block_boundaries():
-    modes, n, bins, p, seed = 5, 3, 70, 0.2, 13
+    # sparse enough that the group count spreads over 0..8 and depends on
+    # where every photon sits, over more than 64 bins
+    modes, n, bins, p, seed, max_groups = 5, 3, 70, 0.08, 13, 8
     chunk = simkit._BLOCK_BYTES // (8 * modes * bins)
     found = []
     for t in range(2 * chunk + 3):
         grid = simkit.substream(seed, t).random((modes, bins)) < p
-        found.append(len(_oracle_extract(_occ(grid.tolist()), n, 2, 2, 4)))
+        found.append(len(_oracle_extract(_occ(grid.tolist()), n, 2, 2, max_groups)))
     for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
-        got = temporal.simulate_group_extraction(modes, n, bins, p, trials, seed)
+        got = temporal.simulate_group_extraction(modes, n, bins, p, trials, seed, max_groups=max_groups)
         hits = np.array(found[:trials])
-        assert got == {k: simkit.reduce_values((hits >= k).astype(float), seed) for k in range(1, 5)}, trials
+        want = {k: simkit.reduce_values((hits >= k).astype(float), seed) for k in range(1, max_groups + 1)}
+        assert got == want, trials
 
 
 def test_simulate_group_extraction():
@@ -455,6 +458,9 @@ def test_raster_across_block_boundaries(strategy, enhanced):
     for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
         got = temporal.raster_simulate(strategy, 24, 0.09, enhanced, trials, seed=5)
         assert got == _raster_loop(strategy, 24, 0.09, enhanced, trials, seed=5), trials
+    for steps in (4, 124, 128, 260):  # windows around the widths of the step counter
+        got = temporal.raster_simulate(strategy, 24, 0.4, enhanced, 40, seed=6, steps=steps)
+        assert got == _raster_loop(strategy, 24, 0.4, enhanced, 40, seed=6, steps=steps), steps
 
 
 def test_raster_aliases_and_guards():
