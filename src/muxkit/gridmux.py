@@ -150,30 +150,32 @@ def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
 
 @dataclass(frozen=True)
 class _Layout:
-    """Per-(config, factors) routing tables, with settings as integer indices.
+    """Per-(config, factors) routing tables.
 
     Cells are numbered row * columns + column; number cells + c is a virtual
-    cell that holds whether column c has any photon.  Per row r, over the
-    columns serving it by ascending index (``cols[r]``): ``source[r][j, s]``
-    is the cell that setting s of column ``cols[r][j]`` moves onto row r's
-    cell, and its last entry, read for the unset setting -1, is the column's
-    virtual cell; ``claim[r][j, q]`` is the setting moving row q's cell there
-    (-1 if row q has no cell in that column).
+    cell that holds whether column c has any photon.  The router keeps one
+    state per column: s * columns + c while it holds setting s, and the
+    negative c - columns while it is free.  ``source[r]``, indexed by a
+    column's state, is the cell that the column moves onto row r's cell; a
+    free state wraps to the last block, the column's virtual cell.
+    ``claim[r][j, q]`` is the state of column ``cols[r][j]`` that moves row
+    q's cell onto row r's cell.
     """
 
     groups: tuple  # per group: the range of its rows
     digits: tuple  # per column: setting index -> digit tuple
+    marked: np.ndarray  # (rows, columns) grid of marked cells
     cols: tuple  # per row: (k,) serving columns, ascending
-    source: tuple  # per row: (k, max column size + 1) cell per setting
-    claim: tuple  # per row: (k, rows) setting claiming each row's cell
+    source: tuple  # per row: (max column size + 1) * columns cells, by state
+    claim: tuple  # per row: (k, rows) state claiming each row's cell
     unmarked: tuple  # (row, column) cells outside the grid
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
     n_rows, n_cols = len(config.rows), len(config.columns)
-    source = np.empty((n_rows, n_cols, max(config.columns, default=0) + 1), dtype=np.int64)  # [r, c, s]
-    source[...] = (n_rows * n_cols + np.arange(n_cols))[:, None]  # the virtual cells, until overwritten
+    source = np.empty((n_rows, max(config.columns, default=0) + 1, n_cols), dtype=np.int64)  # [r, s, c]
+    source[...] = n_rows * n_cols + np.arange(n_cols)  # the virtual cells, until overwritten
     claim = np.full((n_rows, n_cols, n_rows), -1, dtype=np.int64)  # [r, c, q]
     digits = []
     for c, size in enumerate(config.columns):
@@ -185,17 +187,19 @@ def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
         digits.append(col_digits)
         # table[a, b]: setting moving position a onto b; read with a as a
         # setting, the source position it moves onto b
-        source[rows, c, :size] = (rows[table] * n_cols + c).T
-        claim[rows[:, None], c, rows[None, :]] = table.T
+        source[rows, :size, c] = (rows[table] * n_cols + c).T
+        claim[rows[:, None], c, rows[None, :]] = table.T * n_cols + c
     cols = tuple(np.array(config.row_columns(r), dtype=np.int64) for r in range(n_rows))
-    per_row = (cols, tuple(source[r, cols[r]] for r in range(n_rows)), tuple(claim[r, cols[r]] for r in range(n_rows)))
-    for table in itertools.chain(*per_row):
+    source = tuple(source[r].ravel() for r in range(n_rows))
+    claim = tuple(claim[r, cols[r]] for r in range(n_rows))
+    marked = np.array(config.grid, dtype=bool)
+    for table in (marked, *cols, *source, *claim):
         table.flags.writeable = False  # shared by every caller through the cache
+    groups = tuple(range(g * config.group_size, (g + 1) * config.group_size) for g in range(config.generators))
     unmarked = tuple(
         (r, c) for r in range(n_rows) for c in range(n_cols) if not config.grid[r][c]
     )
-    groups = tuple(range(g * config.group_size, (g + 1) * config.group_size) for g in range(config.generators))
-    return _Layout(groups, tuple(digits), *per_row, unmarked)
+    return _Layout(groups, tuple(digits), marked, cols, source, claim, unmarked)
 
 
 @dataclass(frozen=True)
@@ -242,34 +246,40 @@ def _route_batch(layout: _Layout, occ: np.ndarray):
     copy is kept, on failure it is dropped.
     """
     trials, n_rows, n_cols = occ.shape
-    # occupied cells, then each column's virtual "has a photon" cell
-    cells = np.concatenate([occ.reshape(trials, n_rows * n_cols), occ.any(axis=1)], axis=1)
+    # per trial: occupied cells, then each column's virtual "has a photon"
+    # cell, flattened so that trial t's cells start at base[t]
+    cells = np.concatenate([occ.reshape(trials, n_rows * n_cols), occ.any(axis=1)], axis=1).ravel()
+    base = np.arange(trials)[:, None] * (n_rows + 1) * n_cols
     lowest = occ.argmax(axis=1)  # (T, C): first occupied row of each column
     every = np.arange(trials)
-    locked = np.full((trials, n_cols), -1, dtype=np.int64)
-    sources = np.full((trials, n_rows), -1, dtype=np.int64)
+    locked = np.repeat(np.arange(-n_cols, 0)[None], trials, axis=0)  # every column free
+    sources = np.empty((trials, n_rows), dtype=np.int64)
     success = np.zeros((trials, len(layout.groups)), dtype=bool)
     for g, rows in enumerate(layout.groups):
-        setting = locked.copy()
+        state = locked.copy()
         alive = np.ones(trials, dtype=bool)
         for r in rows:
             cols = layout.cols[r]
             if not len(cols):  # a row without cells is never filled
                 alive[:] = False
                 break
-            current = setting[:, cols]  # (T, k); -1 where the column is free
-            served = cells[every[:, None], layout.source[r][np.arange(len(cols)), current]]
+            current = state[:, cols]  # (T, k)
+            served = cells[base + layout.source[r][current]]
             j = served.argmax(axis=1)  # first serving column in scan order
             alive &= served[every, j]
             if not alive.any():
                 break
             column = cols[j]
             sources[:, r] = column
-            claim = np.flatnonzero(alive & (current[every, j] < 0))
-            setting[claim, column[claim]] = layout.claim[r][j[claim], lowest[claim, column[claim]]]
+            # keep a set column's state, claim a free one; what this writes
+            # for a trial whose group already failed is dropped with the group
+            picked = current[every, j]
+            claimed = layout.claim[r][j, lowest[every, column]]
+            state[every, column] = np.where(picked < 0, claimed, picked)
         success[:, g] = alive
-        locked[alive] = setting[alive]
-        sources[~alive, rows.start:rows.stop] = -1
+        np.copyto(locked, state, where=alive[:, None])
+    sources[~np.repeat(success, [len(rows) for rows in layout.groups], axis=1)] = -1
+    locked //= n_cols  # setting index, -1 where free
     return success, locked, sources
 
 
@@ -298,16 +308,19 @@ def simulate_grid_yield(
     the marked cells so results are reproducible per (seed, trial).
     """
     layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
-    mask = np.array(config.grid, dtype=bool)
+    mask = layout.marked
 
     def kernel(u: np.ndarray) -> np.ndarray:
         hits = u < p
-        occ = np.zeros((len(u), *mask.shape), dtype=bool)
-        occ[:, mask] = hits  # marked cells in row-major order
         photons = hits.sum(axis=1)
-        success = _route_batch(layout, occ)[0].sum(axis=1)
+        # a group takes group_size distinct photons, so only those trials are routed
+        busy = np.flatnonzero(photons >= config.group_size)
+        occ = np.zeros((len(busy), *mask.shape), dtype=bool)
+        occ[:, mask] = hits[busy]  # marked cells in row-major order
+        successes = np.zeros(len(u), dtype=np.int64)
+        successes[busy] = _route_batch(layout, occ)[0].sum(axis=1)
         # empty trials contribute zero
-        return np.divide(config.group_size * success, photons, out=np.zeros(len(u)), where=photons > 0)
+        return np.divide(config.group_size * successes, photons, out=np.zeros(len(u)), where=photons > 0)
 
     est = reduce_values(run_trials(kernel, (int(mask.sum()),), p, trials, seed), seed)
     return GridYieldPoint(p=p, estimate=est, bound=bound_curve(config, p), naive=naive_curve(config, p))

@@ -549,7 +549,8 @@ def raster_simulate(
         if strategy == "one-mux":
             ok = u < q
         else:
-            ok = np.logical_and(u[:, 0::2] < q, u[:, 1::2] < q, out=np.empty((len(u), steps), dtype=bool))
+            ok = u[:, 0::2] < q
+            np.logical_and(ok, u[:, 1::2] < q, out=ok)
         if enhanced:
             # steps since the last failure; a greedy group completes at every
             # multiple of `run` (a power of two) along a run of successes
@@ -557,7 +558,8 @@ def raster_simulate(
             np.maximum.accumulate(since, axis=1, out=since)
             np.subtract(step, since, out=since)
             np.bitwise_and(since, run - 1, out=since)
-            done = np.logical_and(since == 0, ok)
+            done = since == 0
+            done &= ok
         else:
             # a period-aligned block completes on its last step if every step fires
             done = np.zeros_like(ok)

@@ -350,23 +350,36 @@ def test_route_matches_the_scalar_oracle(case):
         assert batched == want
 
 
-def test_simulate_yield_across_block_boundaries():
-    # every trial count around the block size must equal a per-trial loop
-    # over substreams through the scalar oracle, bit for bit
-    cfg = gridmux.default_config()
+def _per_trial_yields(cfg, p, seed, trials):
+    """Per-trial yields through substreams and the scalar oracle."""
     mask = np.array(cfg.grid, dtype=bool)
-    chunk = simkit._BLOCK_BYTES // (8 * int(mask.sum()))
-    p, seed = 0.1, 77
     values = []
-    for t in range(2 * chunk + 3):
+    for t in range(trials):
         hits = simkit.substream(seed, t).random(int(mask.sum())) < p
         occ = np.zeros(mask.shape, dtype=bool)
         occ[mask] = hits
         success, _, _ = _oracle_route(cfg, occ.tolist())
         values.append(cfg.group_size * sum(success) / int(hits.sum()) if hits.any() else 0.0)
+    return np.array(values)
+
+
+def test_simulate_yield_across_block_boundaries():
+    # every trial count around the block size must equal a per-trial loop
+    # over substreams through the scalar oracle, bit for bit
+    cfg = gridmux.default_config()
+    chunk = simkit._BLOCK_BYTES // (8 * cfg.n_cells)
+    p, seed = 0.1, 77
+    values = _per_trial_yields(cfg, p, seed, 2 * chunk + 3)
     for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
-        want = simkit.reduce_values(np.array(values[:trials]), seed)
+        want = simkit.reduce_values(values[:trials], seed)
         assert gridmux.simulate_grid_yield(cfg, p, trials, seed).estimate == want, trials
+    # on a 2 x 2 grid many trials hold exactly group_size photons
+    tiny = gridmux.GridMuxConfig(
+        columns=(2, 2), rows=((2, 0), (2, 0)), grid=((True, True), (True, True)), group_size=2, generators=1
+    )
+    for p in (0.3, 0.5):
+        want = simkit.reduce_values(_per_trial_yields(tiny, p, seed, 400), seed)
+        assert gridmux.simulate_grid_yield(tiny, p, 400, seed).estimate == want, p
 
 
 @pytest.mark.parametrize("group_type", [None, (2, 2, 4)])
