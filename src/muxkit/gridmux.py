@@ -168,7 +168,6 @@ class _Layout:
     cols: tuple  # per row: (k,) serving columns, ascending
     source: tuple  # per row: (max column size + 1) * columns cells, by state
     claim: tuple  # per row: (k, rows) state claiming each row's cell
-    unmarked: tuple  # (row, column) cells outside the grid
 
 
 @functools.lru_cache(maxsize=64)
@@ -196,10 +195,7 @@ def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
     for table in (marked, *cols, *source, *claim):
         table.flags.writeable = False  # shared by every caller through the cache
     groups = tuple(range(g * config.group_size, (g + 1) * config.group_size) for g in range(config.generators))
-    unmarked = tuple(
-        (r, c) for r in range(n_rows) for c in range(n_cols) if not config.grid[r][c]
-    )
-    return _Layout(groups, tuple(digits), marked, cols, source, claim, unmarked)
+    return _Layout(groups, tuple(digits), marked, cols, source, claim)
 
 
 @dataclass(frozen=True)
@@ -226,9 +222,10 @@ def route(
     occ = np.array(occupancy, dtype=bool)
     if occ.shape != (len(config.rows), len(config.columns)):
         raise ValueError(f"occupancy shape {occ.shape} does not match the grid")
-    for r, c in layout.unmarked:
-        if occ[r, c]:
-            raise ValueError(f"occupancy on unmarked cell ({r}, {c})")
+    stray = np.argwhere(occ & ~layout.marked)
+    if len(stray):
+        r, c = stray[0]
+        raise ValueError(f"occupancy on unmarked cell ({r}, {c})")
     success, settings, sources = _route_batch(layout, occ[None])
     return RoutingOutcome(
         tuple(success[0].tolist()),
