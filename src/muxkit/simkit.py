@@ -10,8 +10,8 @@ The simulators run in three steps through ``run_trials``: draw a block of
 trials, row i of a block starting at trial ``start`` being the uniforms of
 ``substream(seed, start + i)``; run one kernel over the block;
 reduce the per-trial values with ``reduce_values``.  A block holds at most
-``_BLOCK_BYTES`` (1 MiB) of doubles, so memory stays flat however many
-trials run.
+``_BLOCK_BYTES`` (1 MiB) of doubles, or a single trial when one trial is
+larger, so memory stays flat however many trials run.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ class TrialStreams:
         self._generator = np.random.Generator(self._bit_generator)
 
     def trial(self, trial_index: int) -> np.random.Generator:
-        """The generator, reset to the start of substream(seed, trial_index)."""
-        in_range = type(trial_index) is int and 0 <= trial_index < 1 << 64
-        self._key[1] = trial_index if in_range else int(np.uint64(trial_index))
+        """The generator, reset to the start of substream(seed, trial_index), 0 <= trial_index < 2**64."""
+        self._key[1] = trial_index  # the state setter converts the key to uint64 and range-checks it
         self._bit_generator.state = self._state
         return self._generator
 
@@ -86,8 +85,9 @@ def run_trials(
     Draws trials block by block: a ``(chunk, *shape)`` float64 block whose
     row i holds the uniforms of ``substream(seed, start + i)``, then hands
     the block to ``kernel``, which returns one row of output per trial.
-    ``chunk`` keeps a block within ``_BLOCK_BYTES``.  Checks the arguments
-    every simulator shares: p in [0, 1] and at least two trials.
+    ``chunk`` keeps a block within ``_BLOCK_BYTES``, or at one trial when
+    a single trial is larger.  Checks the arguments every simulator
+    shares: p in [0, 1] and at least two trials.
     """
     check_probability(p)
     if trials < 2:

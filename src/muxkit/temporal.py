@@ -363,15 +363,13 @@ def spatiotemporal_debruijn(
     distinct modes within the trailing delay window, movable order-preserving
     onto a contiguous block with per-photon displacement <= max_crossing.
     """
-    if not group_size < modes:
+    _check_gather(modes, group_size, max_delay, max_crossing, None)
+    if group_size == modes:
         raise ValueError("need group_size < modes")
-    _check_gather(modes, group_size, occ, max_delay, max_crossing, None)
-    return _find_group(_mode_masks(occ), occ.bins, group_size, max_delay, max_crossing, start_time=0)
+    return _find_group(_mode_masks(modes, occ), occ.bins, group_size, max_delay, max_crossing, start_time=0)
 
 
-def _check_gather(modes: int, group_size: int, occ, max_delay: int, max_crossing: int, max_groups: int | None) -> None:
-    if occ is not None and modes != occ.modes:
-        raise ValueError(f"modes {modes} does not match the occupancy's {occ.modes}")
+def _check_gather(modes: int, group_size: int, max_delay: int, max_crossing: int, max_groups: int | None) -> None:
     if not 1 <= group_size <= modes:
         raise ValueError("need 1 <= group_size <= modes")
     if max_delay < 0 or max_crossing < 0:
@@ -380,8 +378,10 @@ def _check_gather(modes: int, group_size: int, occ, max_delay: int, max_crossing
         raise ValueError("max_groups must be >= 1")
 
 
-def _mode_masks(occ: SpaceTimeOccupancy) -> list[int]:
+def _mode_masks(modes: int, occ: SpaceTimeOccupancy) -> list[int]:
     """Per mode, the photons as a bitmask: bit t set when bin t holds one."""
+    if modes != occ.modes:
+        raise ValueError(f"modes {modes} does not match the occupancy's {occ.modes}")
     return [sum(1 << t for t, x in enumerate(row) if x) for row in occ.grid]
 
 
@@ -458,8 +458,8 @@ def extract_photon_groups(
     max_groups: int | None = None,
 ) -> list[GatherRoute]:
     """Greedy repeated extraction; each group consumes its photons."""
-    _check_gather(modes, group_size, occ, max_delay, max_crossing, max_groups)
-    return _extract(_mode_masks(occ), occ.bins, group_size, max_delay, max_crossing, max_groups)
+    _check_gather(modes, group_size, max_delay, max_crossing, max_groups)
+    return _extract(_mode_masks(modes, occ), occ.bins, group_size, max_delay, max_crossing, max_groups)
 
 
 def simulate_group_extraction(
@@ -474,7 +474,7 @@ def simulate_group_extraction(
     max_groups: int = 4,
 ) -> dict[int, Estimate]:
     """P(at least k groups) for k = 1..max_groups over random occupancies."""
-    _check_gather(modes, group_size, None, max_delay, max_crossing, max_groups)
+    _check_gather(modes, group_size, max_delay, max_crossing, max_groups)
     if bins < 1:
         raise ValueError("bins must be >= 1")
 
@@ -542,7 +542,7 @@ def raster_simulate(
             raise ValueError("two-mux needs even n_sources")
         q = analytics.p_mux_single(n_sources // 2, p)
     draws = steps if strategy == "one-mux" else 2 * steps
-    step = np.arange(steps, dtype=np.min_scalar_type(-steps - 1))  # holds -1..steps
+    step = np.arange(steps, dtype=np.int32)
 
     def kernel(u: np.ndarray) -> np.ndarray:
         # per trial and step offset mod 4: completed groups

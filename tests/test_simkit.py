@@ -73,3 +73,11 @@ def test_trial_streams_equal_substreams():
             gen.random(n | 1)
     # seeds are reduced mod 2**64 exactly as substream does
     assert np.array_equal(simkit.TrialStreams(-3).trial(2).random(4), simkit.substream(-3, 2).random(4))
+    # numpy integer and top-of-range trial indices key the same stream
+    for t in (np.int64(7), np.uint64(2**64 - 1), 2**64 - 1):
+        assert np.array_equal(simkit.TrialStreams(42).trial(t).random(4), simkit.substream(42, t).random(4))
+    for t in (-1, 2**64):  # out of range for both
+        with pytest.raises(OverflowError):
+            simkit.substream(42, t)
+        with pytest.raises(OverflowError):
+            simkit.TrialStreams(42).trial(t)

@@ -458,7 +458,7 @@ def test_raster_across_block_boundaries(strategy, enhanced):
     for trials in (2, chunk, chunk + 1, 2 * chunk + 3):
         got = temporal.raster_simulate(strategy, 24, 0.09, enhanced, trials, seed=5)
         assert got == _raster_loop(strategy, 24, 0.09, enhanced, trials, seed=5), trials
-    for steps in (4, 124, 128, 260):  # windows around the widths of the step counter
+    for steps in (4, 124, 128, 260):  # step counts shorter and longer than the default
         got = temporal.raster_simulate(strategy, 24, 0.4, enhanced, 40, seed=6, steps=steps)
         assert got == _raster_loop(strategy, 24, 0.4, enhanced, 40, seed=6, steps=steps), steps
 
