@@ -3,7 +3,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxkit import logic
 from muxkit.simkit import substream
@@ -111,3 +114,36 @@ def test_lookup_agrees_with_direct_rule_on_random_inputs():
             assert table.lookup(bits) == tuple(0 if i in keep else 1 for i in range(12))
         else:
             assert table.lookup(bits) == (1,) * 12
+
+
+def _string_match_rows(table, bits):
+    """Row-by-row string match through ``TruthTable.matches``: the reference for ``match_rows``."""
+    return [i for i, (pat, _) in enumerate(table.rows) if table.matches(pat, bits)]
+
+
+@st.composite
+def _tables_and_inputs(draw):
+    """A {0, 1, *} table (random rows, or a wildcard-reduced one) with a few inputs of its width."""
+    if draw(st.booleans()):
+        width = draw(st.integers(0, 70))
+        pattern = st.text(alphabet="01*", min_size=width, max_size=width)
+        rows = tuple((pat, (i,)) for i, pat in enumerate(draw(st.lists(pattern, max_size=20))))
+        table = logic.TruthTable(width=width, rows=rows, default_outputs=(-1,))
+    else:
+        width = draw(st.integers(0, 9))
+        table = logic.wildcard_reduce(width, draw(st.integers(0, width)))
+    # bits in the spellings callers use: bools, 0/1 ints and numpy bools
+    bit = st.sampled_from([False, True, 0, 1, np.False_, np.True_])
+    inputs = draw(st.lists(st.lists(bit, min_size=width, max_size=width), min_size=1, max_size=8))
+    # inputs that hit a row: copy its fixed bits, draw the wildcards
+    for pat, _ in draw(st.lists(st.sampled_from(table.rows), max_size=4)) if table.rows else ():
+        inputs.append([c == "1" if c != "*" else draw(st.booleans()) for c in pat])
+    return table, inputs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_and_inputs())
+def test_match_rows_equals_the_string_oracle(case):
+    table, inputs = case
+    for bits in inputs:
+        assert table.match_rows(bits) == _string_match_rows(table, bits)

@@ -99,6 +99,25 @@ def test_coverage_invariant_under_usable_set_symmetry():
         assert n0 == n1
 
 
+def _oracle_search(n_modes):
+    """Score every matching by the size of its routable set, first maximum wins: the reference search."""
+    usable = patterns.paired_usable_patterns(n_modes)
+    best_layer, best, searched = None, -1, 0
+    for layer in patterns.enumerate_perfect_matchings(n_modes):
+        searched += 1
+        n = len(patterns.routable_patterns(n_modes, layer, usable))
+        if n > best:
+            best, best_layer = n, layer
+    return patterns.LayerSearchResult(best_layer, best, math.comb(n_modes, n_modes // 2), searched)
+
+
+@pytest.mark.parametrize("n_modes", [2, 4, 6, 8, 10])
+def test_search_equals_the_oracle_loop(n_modes):
+    res = patterns.search_optimal_coupler_layer(n_modes)
+    assert res == _oracle_search(n_modes)
+    assert repr(res) == repr(_oracle_search(n_modes))  # plain int modes, as the oracle's
+
+
 def test_twelve_mode_search_yields_666_of_924():
     res = patterns.search_optimal_coupler_layer(12)
     assert res.n_layers_searched == 10395  # 11!!
