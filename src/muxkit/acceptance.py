@@ -355,15 +355,11 @@ def _check_feedforward_tables(quick: bool):
         for n in range(0, width + 1):
             table = logic.wildcard_reduce(width, n)
             ok = ok and len(table.rows) == math.comb(width, n)
+        ones = np.array([x.bit_count() for x in range(1 << width)])
         for n in {0, min(4, width), width}:
-            table = logic.wildcard_reduce(width, n)
-            for x in range(1 << width):
-                bits = [bool(x >> i & 1) for i in range(width)]
-                hits = table.match_rows(bits)
-                if sum(bits) >= n:
-                    ok = ok and len(hits) == 1
-                else:
-                    ok = ok and not hits
+            # one row matches every input with >= n ones, none matches the rest
+            counts = logic.wildcard_reduce(width, n).match_counts()
+            ok = ok and np.array_equal(counts, ones >= n)
     detail = "row counts C(B, n) for all B <= 12; exhaustive single-match sweep at n in {0, 4, B}"
     return ok, detail, {"widths": 12}
 

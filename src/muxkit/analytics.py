@@ -293,7 +293,10 @@ def raster_rate(strategy: str, n_sources: int, p: float) -> float:
 
 def raster_yield(strategy: str, n_sources: int, p: float) -> float:
     """Yield of a rastered generator: 4 x rate / (4 n p) photons out per in."""
-    if p <= 0:
+    check_probability(p)
+    if n_sources < 1:
+        raise ValueError("n_sources must be >= 1")
+    if p == 0:
         return 0.0
     return raster_rate(strategy, n_sources, p) / (n_sources * p)
 

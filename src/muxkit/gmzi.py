@@ -204,10 +204,11 @@ def _mixed_radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(N, r) digit table of 0..N-1 and the place values (first digit most significant).
 
     Shared by every group computation on a factor tuple; both arrays are
-    read-only because the cache hands them to every caller.
+    read-only because the cache hands them to every caller.  No factors is
+    the trivial group: one element with no digits.
     """
-    place = np.cumprod((1,) + factors[:0:-1], dtype=np.int64)[::-1]
-    digits = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // place) % np.array(factors)
+    place = np.cumprod((1,) + factors[:0:-1], dtype=np.int64)[::-1][: len(factors)]
+    digits = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // place) % np.array(factors, dtype=np.int64)
     place.flags.writeable = digits.flags.writeable = False
     return digits, place
 

@@ -143,7 +143,7 @@ def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
     as a setting, is the source position that setting moves onto b.
     """
     digits, place = _mixed_radix(factors)
-    table = ((digits[None, :, :] - digits[:, None, :]) % factors) @ place
+    table = ((digits[None, :, :] - digits[:, None, :]) % np.array(factors, dtype=np.int64)) @ place
     table.flags.writeable = False  # shared by every caller through the cache
     return tuple(map(tuple, digits.tolist())), table
 

@@ -4,6 +4,11 @@ Heralding detectors feed a lookup table that picks switch settings and dumps
 excess photons.  Listing every input pattern needs 2^B rows; since only the
 first n heralds matter, all zeros after the final significant one can be
 wildcarded, cutting the table to C(B, n) rows.
+
+A table compiles each pattern once to a pair of integer masks (care,
+value): bit i of care is set where port i is not a wildcard, bit i of value
+where it must be 1.  An input packed into an integer x, port i in bit i,
+matches a row exactly when x & care == value, at any width.
 """
 
 from __future__ import annotations
@@ -13,7 +18,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = ["TruthTable", "priority_encode", "wildcard_reduce"]
+
+
+_MAX_SWEEP_WIDTH = 24  # match_counts holds 2^width int64 counters (128 MiB at 24)
 
 
 def priority_encode(bits: Sequence[bool]) -> int | None:
@@ -33,16 +43,34 @@ class TruthTable:
     default_outputs: tuple[int, ...]
 
     def __post_init__(self):
+        masks = []
         for pattern, _ in self.rows:
             if len(pattern) != self.width or set(pattern) - {"0", "1", "*"}:
                 raise ValueError(f"bad pattern {pattern!r}")
+            rev = pattern[::-1]  # port i in bit i
+            care = int("0" + rev.replace("0", "1").replace("*", "0"), 2)
+            masks.append((care, int("0" + rev.replace("*", "0"), 2)))
+        object.__setattr__(self, "_masks", tuple(masks))  # (care, value) per row; not a field
 
     def matches(self, pattern: str, bits: Sequence[bool]) -> bool:
         return all(c == "*" or bool(int(c)) == bool(b) for c, b in zip(pattern, bits))
 
     def match_rows(self, bits: Sequence[bool]) -> list[int]:
         """Indices of all rows matching the input (conflict checks)."""
-        return [i for i, (pat, _) in enumerate(self.rows) if self.matches(pat, bits)]
+        if len(bits) != self.width:
+            raise ValueError(f"input has {len(bits)} bits, table width is {self.width}")
+        x = sum(1 << i for i, b in enumerate(bits) if b)
+        return [i for i, (care, value) in enumerate(self._masks) if x & care == value]
+
+    def match_counts(self) -> np.ndarray:
+        """Number of matching rows for every input x = 0 .. 2^width - 1, port i in bit i of x."""
+        if self.width > _MAX_SWEEP_WIDTH:
+            raise ValueError(f"a sweep of all inputs needs width <= {_MAX_SWEEP_WIDTH}")
+        xs = np.arange(1 << self.width, dtype=np.int64)
+        counts = np.zeros(len(xs), dtype=np.int64)
+        for care, value in self._masks:
+            counts += (xs & care) == value
+        return counts
 
     def lookup(self, bits: Sequence[bool]) -> tuple[int, ...]:
         hits = self.match_rows(bits)

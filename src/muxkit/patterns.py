@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "mask_from_modes",
     "modes_from_mask",
@@ -160,17 +162,29 @@ def search_optimal_coupler_layer(n_modes: int) -> LayerSearchResult:
     Scores every perfect matching by the number of balanced patterns
     (n/2 photons on n modes) it can route to a paired-usable pattern; ties
     resolve to the lexicographically first matching.
+
+    A pattern routes to usable pattern u exactly when every coupler carries
+    as many photons as in u, so the patterns routable to u form one class,
+    keyed by the base-3 signature of per-coupler photon counts, with
+    2^(couplers holding one photon) members.  A layer's score is that size
+    summed over the distinct signatures of the usable patterns, computed for
+    a chunk of matchings at a time as arrays of signatures.
     """
     usable = paired_usable_patterns(n_modes)
+    # photon (0/1) of every usable pattern on each mode, (n_modes, usable)
+    bits = (np.array(usable, dtype=np.int64)[None, :] >> np.arange(n_modes)[:, None]) & 1
+    chunk = max(1, _CHUNK_BYTES // (8 * len(usable)))
+    matchings = enumerate_perfect_matchings(n_modes)
     best_layer: tuple[tuple[int, int], ...] | None = None
     best = -1
     searched = 0
-    for layer in enumerate_perfect_matchings(n_modes):
-        searched += 1
-        n = len(routable_patterns(n_modes, layer, usable))
-        if n > best:
-            best = n
-            best_layer = layer
+    while layers := list(itertools.islice(matchings, chunk)):
+        searched += len(layers)
+        scores = _layer_scores(np.array(layers, dtype=np.intp).reshape(len(layers), n_modes // 2, 2), bits)
+        i = int(np.argmax(scores))  # first maximum: the lexicographically first layer
+        if scores[i] > best:
+            best = int(scores[i])
+            best_layer = layers[i]
     assert best_layer is not None
     return LayerSearchResult(
         layer=best_layer,
@@ -178,6 +192,29 @@ def search_optimal_coupler_layer(n_modes: int) -> LayerSearchResult:
         n_patterns=math.comb(n_modes, n_modes // 2),
         n_layers_searched=searched,
     )
+
+
+_CHUNK_BYTES = 1 << 20  # one chunk's (layers, usable) signature array
+
+
+def _layer_scores(layers: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Routable-pattern count of each layer in a (K, couplers, 2) array of mode pairs.
+
+    ``bits`` is the (modes, usable) photon table of the usable patterns.
+    Each usable pattern's key is its signature times 64 plus its number of
+    one-photon couplers, so equal keys are equal signatures and the low
+    bits give the class size.
+    """
+    key = np.zeros((len(layers), bits.shape[1]), dtype=np.int64)
+    ones = np.zeros_like(key)
+    for a, b in layers.transpose(1, 2, 0):  # one coupler at a time
+        count = bits[a] + bits[b]
+        key = key * 3 + count
+        ones += count == 1
+    key = np.sort(key * 64 + ones, axis=1)
+    first = np.ones(key.shape, dtype=bool)
+    first[:, 1:] = key[:, 1:] != key[:, :-1]
+    return np.where(first, 1 << (key & 63), 0).sum(axis=1)
 
 
 # winners of search_optimal_coupler_layer, frozen so callers skip the search

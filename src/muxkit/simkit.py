@@ -44,8 +44,9 @@ class Estimate:
 
 
 def substream(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent generator for one trial, keyed by (seed, trial_index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial_index)], dtype=np.uint64)
+    """Independent generator for one trial, keyed by (seed, trial_index), 0 <= trial_index < 2**64."""
+    # through int, so a negative numpy index raises as the Python int does instead of wrapping
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(int(trial_index))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

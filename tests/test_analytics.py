@@ -217,6 +217,16 @@ def test_footprint():
         analytics.footprint(64, 0.0, 0.3, 3.0 / 32.0, 0.99)
 
 
+def test_raster_yield_rejects_bad_input():
+    assert analytics.raster_yield("one-mux", 16, 0.0) == 0.0
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            analytics.raster_yield("one-mux", n, 0.1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            analytics.raster_yield("one-mux", 16, p)
+
+
 def test_raster_rates():
     assert analytics.raster_rate("one-mux", 16, 1.0) == pytest.approx(1.0)
     assert analytics.raster_rate("four-mux", 16, 1.0) == pytest.approx(4.0)

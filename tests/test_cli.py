@@ -208,6 +208,12 @@ def test_domain_error_exits_1(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_raster_curve_from_zero_sources_is_a_clean_error(capsys):
+    assert main(["analyze", "--curve", "raster", "--n-range", "0:8:8", "--p", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["gridmux", "--p-range", "0.1", "--trials", "10", "--config", str(missing)]) == 1

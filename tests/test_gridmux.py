@@ -306,17 +306,17 @@ def _factorizations(n):
 
 @st.composite
 def _grid_cases(draw):
-    """A small config (column sizes >= 2), an optional factor type valid for it, and occupancies."""
+    """A small config (column sizes >= 1), an optional factor type valid for it, and occupancies."""
     generators = draw(st.integers(1, 3))
     group_size = draw(st.integers(2 if generators == 1 else 1, 3))
     n_rows = group_size * generators
     n_cols = draw(st.integers(1, 5))
     uniform = draw(st.booleans())
-    size = draw(st.integers(2, n_rows))
+    size = draw(st.integers(1, n_rows))
     grid = [[False] * n_cols for _ in range(n_rows)]
     for c in range(n_cols):
         rows = draw(st.permutations(range(n_rows)))
-        for r in rows[: size if uniform else draw(st.integers(2, n_rows))]:
+        for r in rows[: size if uniform else draw(st.integers(1, n_rows))]:
             grid[r][c] = True
     cfg = gridmux.GridMuxConfig(
         columns=tuple(sum(grid[r][c] for r in range(n_rows)) for c in range(n_cols)),
@@ -348,6 +348,16 @@ def test_route_matches_the_scalar_oracle(case):
             {r: c for r, c in enumerate(sources[t].tolist()) if c >= 0},
         )
         assert batched == want
+
+
+def test_one_cell_column_routes_as_the_trivial_group():
+    cfg = gridmux.GridMuxConfig(
+        columns=(1, 2), rows=((1, 0), (2, 1)), grid=((False, True), (True, True)), group_size=1, generators=2
+    )
+    out = gridmux.route(cfg, [[False, True], [True, False]])
+    assert out == gridmux.RoutingOutcome((True, True), {0: (), 1: (0,)}, {0: 1, 1: 0})
+    point = gridmux.simulate_grid_yield(cfg, 0.5, trials=64, seed=3)
+    assert np.mean(_per_trial_yields(cfg, 0.5, 3, 64)) == point.estimate.mean
 
 
 def _per_trial_yields(cfg, p, seed, trials):

@@ -147,3 +147,24 @@ def test_match_rows_equals_the_string_oracle(case):
     table, inputs = case
     for bits in inputs:
         assert table.match_rows(bits) == _string_match_rows(table, bits)
+
+
+def test_inputs_of_the_wrong_width_are_rejected():
+    table = logic.wildcard_reduce(12, 4)
+    for bits in ([1, 1, 1, 1], [1] * 20, []):
+        with pytest.raises(ValueError):
+            table.match_rows(bits)
+        with pytest.raises(ValueError):
+            table.lookup(bits)
+
+
+def test_match_counts_agree_with_match_rows():
+    tables = [logic.wildcard_reduce(w, n) for w in range(0, 11) for n in {0, w // 2, w}]
+    tables.append(logic.TruthTable(width=3, rows=(("1**", (1,)), ("*1*", (2,)), ("0*0", (3,))), default_outputs=(0,)))
+    for table in tables:
+        counts = table.match_counts()
+        assert counts.shape == (1 << table.width,)
+        for x in range(1 << table.width):
+            assert counts[x] == len(table.match_rows([x >> i & 1 for i in range(table.width)]))
+    with pytest.raises(ValueError):
+        logic.TruthTable(width=25, rows=(), default_outputs=()).match_counts()

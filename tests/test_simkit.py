@@ -76,7 +76,7 @@ def test_trial_streams_equal_substreams():
     # numpy integer and top-of-range trial indices key the same stream
     for t in (np.int64(7), np.uint64(2**64 - 1), 2**64 - 1):
         assert np.array_equal(simkit.TrialStreams(42).trial(t).random(4), simkit.substream(42, t).random(4))
-    for t in (-1, 2**64):  # out of range for both
+    for t in (-1, np.int64(-1), 2**64):  # out of range for both, in either spelling
         with pytest.raises(OverflowError):
             simkit.substream(42, t)
         with pytest.raises(OverflowError):
