@@ -6,6 +6,11 @@ column pair {i, i + n/2}; these are the patterns a pair-slot interferometer
 accepts directly.  A layer of pairwise couplers in front widens the set of
 acceptable patterns: a coupler with one occupied input can deliver the
 photon to either output, one with both inputs occupied fixes both.
+
+The exhaustive layer search does not build routable sets: it compiles each
+layer to the base-3 signatures (photons per coupler) of the usable patterns
+and scores a chunk of layers at once with numpy.  ``routable_patterns``
+builds the sets themselves, one layer at a time.
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def search_optimal_coupler_layer(n_modes: int) -> LayerSearchResult:
     searched = 0
     while layers := list(itertools.islice(matchings, chunk)):
         searched += len(layers)
-        scores = _layer_scores(np.array(layers, dtype=np.intp).reshape(len(layers), n_modes // 2, 2), bits)
+        scores = _layer_scores(layers, bits)
         i = int(np.argmax(scores))  # first maximum: the lexicographically first layer
         if scores[i] > best:
             best = int(scores[i])
@@ -197,17 +202,17 @@ def search_optimal_coupler_layer(n_modes: int) -> LayerSearchResult:
 _CHUNK_BYTES = 1 << 20  # one chunk's (layers, usable) signature array
 
 
-def _layer_scores(layers: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Routable-pattern count of each layer in a (K, couplers, 2) array of mode pairs.
+def _layer_scores(layers: list[tuple[tuple[int, int], ...]], bits: np.ndarray) -> np.ndarray:
+    """Routable-pattern count of each layer, given the (modes, usable) photon table of the usable patterns.
 
-    ``bits`` is the (modes, usable) photon table of the usable patterns.
     Each usable pattern's key is its signature times 64 plus its number of
     one-photon couplers, so equal keys are equal signatures and the low
     bits give the class size.
     """
+    pairs = np.array(layers, dtype=np.intp).reshape(len(layers), len(bits) // 2, 2)
     key = np.zeros((len(layers), bits.shape[1]), dtype=np.int64)
     ones = np.zeros_like(key)
-    for a, b in layers.transpose(1, 2, 0):  # one coupler at a time
+    for a, b in pairs.transpose(1, 2, 0):  # one coupler at a time
         count = bits[a] + bits[b]
         key = key * 3 + count
         ones += count == 1
