@@ -54,6 +54,72 @@ def test_reduced_de_bruijn():
         assert set(wins) == expect
 
 
+def _fkm_de_bruijn(k, length):
+    """Reference de Bruijn sequence: recursive Fredricksen-Maiorana Lyndon-word concatenation."""
+    seq = []
+    a = [0] * (k * length)
+
+    def gen(t, p):
+        if t > length:
+            if length % p == 0:
+                seq.extend(a[1: p + 1])
+        else:
+            a[t] = a[t - p]
+            gen(t + 1, p)
+            for j in range(a[t - p] + 1, k):
+                a[t] = j
+                gen(t + 1, t)
+
+    gen(1, 1)
+    return tuple(seq)
+
+
+def _hierholzer_reduced_de_bruijn(k, length):
+    """Reference reduced sequence: Eulerian circuit over the graph of 0-bearing words.
+
+    A vertex is a (length-1)-word and the edge symbol c completes the word
+    vertex + (c,); edges are consumed smallest symbol first from the all-zero
+    vertex, and each edge's symbol is recorded when its frame pops.
+    """
+    out_edges = {}
+    for v in itertools.product(range(k), repeat=length - 1):
+        symbols = [c for c in range(k) if 0 in v + (c,)]
+        if symbols:
+            out_edges[v] = symbols
+    stack, circuit = [((0,) * (length - 1), None)], []
+    while stack:
+        v, sym = stack[-1]
+        avail = out_edges.get(v)
+        if avail:
+            c = avail.pop(0)
+            stack.append((v[1:] + (c,) if length > 1 else v, c))
+        else:
+            stack.pop()
+            if sym is not None:
+                circuit.append(sym)
+    return tuple(reversed(circuit))
+
+
+def _small_sequence_args():
+    """Every (k, length) with k >= 2, length >= 2 and k**length <= 4096, and length 1 up to k = 64 and at k = 4096.
+
+    Order 1 is thinned because it is the sequence 0..k-1 at every k, and all
+    4,095 alphabets would take most of the oracle time.
+    """
+    orders = [(k, length) for k in range(2, 65) for length in range(2, 13) if k ** length <= 4096]
+    return orders + [(k, 1) for k in (*range(2, 65), 4096)]
+
+
+def test_de_bruijn_equals_the_fkm_oracle():
+    for k, length in _small_sequence_args():
+        assert temporal.de_bruijn(k, length).symbols == _fkm_de_bruijn(k, length), (k, length)
+
+
+def test_reduced_de_bruijn_equals_the_eulerian_circuit_oracle():
+    for k, length in _small_sequence_args():
+        assert temporal.reduced_de_bruijn(k, length) == _hierholzer_reduced_de_bruijn(k, length), (k, length)
+
+
 def _occ(grid):
     rows = tuple(tuple(bool(x) for x in row) for row in grid)
     return temporal.SpaceTimeOccupancy(len(rows), len(rows[0]), rows)
@@ -137,11 +203,11 @@ def _shift(mask, c, m):
     return ((mask << c) | (mask >> (m - c))) & ((1 << m) - 1)
 
 
-def _brute_force_tetris_route(occ, net):
-    """Reference router: first of all modes**bins schedules, in lexicographic order."""
+def _brute_force_route(occ, net, schedules):
+    """Reference router: the first of the given per-bin shift schedules that covers every port."""
     m, b = occ.modes, occ.bins
     masks = [sum(1 << j for j in range(m) if occ.grid[j][t]) for t in range(b)]
-    for schedule in itertools.product(range(m), repeat=b):
+    for schedule in schedules:
         covered = 0
         for t, mask in enumerate(masks):
             covered |= _shift(mask, schedule[t], m)
@@ -163,7 +229,17 @@ def test_tetris_route_is_the_first_schedule_on_every_occupancy(m, b):
     net = temporal.DelayNetwork(m, b, temporal.reduced_de_bruijn(b, m))
     for bits in range(1 << (m * b)):
         occ = _occ([[bits >> (j * b + t) & 1 for t in range(b)] for j in range(m)])
-        assert temporal.debruijn_mux_route(occ, net, tetris=True) == _brute_force_tetris_route(occ, net)
+        tetris_schedules = itertools.product(range(m), repeat=b)  # all m**b, lexicographic
+        assert temporal.debruijn_mux_route(occ, net, tetris=True) == _brute_force_route(occ, net, tetris_schedules)
+
+
+@pytest.mark.parametrize("m,b", [(1, 3), (2, 2), (3, 3), (4, 3), (3, 4), (2, 5)])
+def test_single_shift_route_is_the_first_shift_on_every_occupancy(m, b):
+    net = temporal.DelayNetwork(m, b, temporal.reduced_de_bruijn(b, m))
+    for bits in range(1 << (m * b)):
+        occ = _occ([[bits >> (j * b + t) & 1 for t in range(b)] for j in range(m)])
+        single_shifts = ((c,) * b for c in range(m))
+        assert temporal.debruijn_mux_route(occ, net) == _brute_force_route(occ, net, single_shifts)
 
 
 def _ordered_tuple_tetris_probability(m, b, p):
