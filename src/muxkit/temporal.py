@@ -94,22 +94,7 @@ def de_bruijn(k: int, length: int) -> DeBruijnSequence:
     exactly once.
     """
     _check_db_args(k, length)
-    seq: list[int] = []
-    a = [0] * (k * length)
-
-    def gen(t: int, p: int) -> None:
-        if t > length:
-            if length % p == 0:
-                seq.extend(a[1: p + 1])
-        else:
-            a[t] = a[t - p]
-            gen(t + 1, p)
-            for j in range(a[t - p] + 1, k):
-                a[t] = j
-                gen(t + 1, t)
-
-    gen(1, 1)
-    return DeBruijnSequence(alphabet=k, word_length=length, symbols=tuple(seq))
+    return DeBruijnSequence(alphabet=k, word_length=length, symbols=_lyndon_concat(k, length, zero_only=False))
 
 
 def _check_db_args(k: int, length: int) -> None:
@@ -119,48 +104,44 @@ def _check_db_args(k: int, length: int) -> None:
         raise ValueError(f"k**length exceeds guard {_SIZE_GUARD}")
 
 
+def _lyndon_concat(k: int, length: int, zero_only: bool) -> tuple[int, ...]:
+    """Lyndon words over {0..k-1} whose length divides `length`, concatenated in
+    lexicographic order (Fredricksen-Maiorana); with zero_only, just the words
+    that start with 0, which are the ones holding a 0 and come first.
+    """
+    if k == 1:
+        return (0,)  # the one Lyndon word; the recursion would go `length` deep
+    seq: list[int] = []
+    a = [0] * (length + 1)
+    first_symbols = 1 if zero_only else k
+
+    def gen(t: int, p: int) -> None:
+        if t > length:
+            if length % p == 0:
+                seq.extend(a[1: p + 1])
+        else:
+            a[t] = a[t - p]
+            gen(t + 1, p)
+            for j in range(a[t - p] + 1, k if t > 1 else first_symbols):
+                a[t] = j
+                gen(t + 1, t)
+
+    gen(1, 1)
+    return tuple(seq)
+
+
 def reduced_de_bruijn(k: int, length: int) -> tuple[int, ...]:
     """Shortest cyclic sequence containing every 0-bearing word exactly once.
 
-    Words that lack the symbol 0 are dropped; an Eulerian circuit over the
-    remaining word graph (always balanced) gives length k**L - (k-1)**L.
-    Deterministic: edges are consumed smallest symbol first.
+    Words that lack the symbol 0 are dropped, leaving k**L - (k-1)**L of them.
+    The sequence is the de Bruijn Lyndon-word concatenation cut to the words
+    that start with 0, which begins with L zeros; it is rotated left by L - 1
+    so that it ends in L - 1 zeros and window 0 starts at the last leading
+    zero.
     """
     _check_db_args(k, length)
-    if k == 1:
-        return (0,)
-
-    def has_zero(word: tuple[int, ...]) -> bool:
-        return 0 in word
-
-    # vertex = (length-1)-word; edge symbol c completes the word vertex + (c,)
-    out_edges: dict[tuple[int, ...], list[int]] = {}
-    n_edges = 0
-    for v in itertools.product(range(k), repeat=length - 1):
-        symbols = [c for c in range(k) if has_zero(v + (c,))]
-        if symbols:
-            out_edges[v] = symbols  # ascending; consumed from the front
-            n_edges += len(symbols)
-
-    start = (0,) * (length - 1)
-    # Hierholzer: record an edge's symbol when its frame pops, then reverse
-    stack: list[tuple[tuple[int, ...], int | None]] = [(start, None)]
-    circuit: list[int] = []
-    while stack:
-        v, sym = stack[-1]
-        avail = out_edges.get(v)
-        if avail:
-            c = avail.pop(0)
-            stack.append((v[1:] + (c,) if length > 1 else v, c))
-        else:
-            stack.pop()
-            if sym is not None:
-                circuit.append(sym)
-    if len(circuit) != n_edges:
-        raise AssertionError("word graph not connected")
-    seq = tuple(reversed(circuit))
-    assert len(seq) == k ** length - (k - 1) ** length
-    return seq
+    seq = _lyndon_concat(k, length, zero_only=True)
+    return seq[length - 1:] + seq[: length - 1]
 
 
 def cyclic_windows(symbols: Sequence[int], length: int) -> list[tuple[int, ...]]:
@@ -186,11 +167,14 @@ class DelayNetwork:
     bins: int
     delays: tuple[int, ...]
 
-    def word_positions(self) -> dict[tuple[int, ...], int]:
+    def __post_init__(self):
         pos: dict[tuple[int, ...], int] = {}
         for i, w in enumerate(cyclic_windows(self.delays, self.modes)):
             pos.setdefault(w, i)
-        return pos
+        object.__setattr__(self, "_positions", pos)  # first position of each window word; not a field
+
+    def word_positions(self) -> dict[tuple[int, ...], int]:
+        return dict(self._positions)
 
 
 def default_delay_network(modes: int, bins: int) -> DelayNetwork:
@@ -215,7 +199,8 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
     """Find shifter settings aligning one photon per port at a common time.
 
     Without tetris a single cyclic shift applies to the whole window, so
-    success needs every mode occupied.  With tetris the shift may change
+    success needs every mode occupied; every shift maps modes one-to-one
+    onto ports, so the route uses shift 0.  With tetris the shift may change
     every bin; the route uses the lexicographically first per-bin schedule
     that puts a photon on every port (see `_tetris_schedule`).
     """
@@ -223,19 +208,10 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
     if network.modes != m or network.bins != b:
         raise ValueError("network dims do not match occupancy")
     bin_masks = [sum(1 << j for j in range(m) if occ.grid[j][t]) for t in range(b)]
-
-    if not tetris:
-        for c in range(m):
-            picked = _pick_ports(bin_masks, m, b, (c,) * b)
-            if picked is not None:
-                return _witness(network, (c,) * b, picked)
+    schedule = _tetris_schedule(bin_masks, m) if tetris else (0,) * b
+    picked = None if schedule is None else _pick_ports(bin_masks, m, b, schedule)
+    if picked is None:
         return _failed(occ)
-
-    schedule = _tetris_schedule(bin_masks, m)
-    if schedule is None:
-        return _failed(occ)
-    picked = _pick_ports(bin_masks, m, b, schedule)
-    assert picked is not None
     return _witness(network, schedule, picked)
 
 
@@ -287,7 +263,7 @@ def _pick_ports(bin_masks: list[int], m: int, b: int, schedule: Sequence[int]) -
 def _witness(network: DelayNetwork, schedule: tuple[int, ...], picked: list[tuple[int, int]]) -> DeBruijnRoute:
     align = max(t for _, t in picked)
     word = tuple(align - t for _, t in picked)
-    pos = network.word_positions().get(word)
+    pos = network._positions.get(word)
     if pos is None:
         raise AssertionError(f"delay word {word} missing from the sequence")
     return DeBruijnRoute(True, schedule, tuple(picked), pos, align)

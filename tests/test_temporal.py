@@ -21,6 +21,13 @@ def test_de_bruijn_frozen_sequences():
     assert temporal.de_bruijn(3, 2).symbols == (0, 0, 1, 0, 2, 1, 1, 2, 2)
 
 
+def test_unary_de_bruijn_is_a_single_zero():
+    # k = 1 passes the size guard at every length; its one word is all zeros
+    for length in (1, 2, 3, 7, 5000):
+        assert temporal.de_bruijn(1, length).symbols == (0,)
+        assert temporal.reduced_de_bruijn(1, length) == (0,)
+
+
 def test_de_bruijn_window_property():
     for k, length in [(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2), (6, 1)]:
         seq = temporal.de_bruijn(k, length)
