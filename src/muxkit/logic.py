@@ -53,6 +53,8 @@ class TruthTable:
         object.__setattr__(self, "_masks", tuple(masks))  # (care, value) per row; not a field
 
     def matches(self, pattern: str, bits: Sequence[bool]) -> bool:
+        if not len(pattern) == len(bits) == self.width:
+            raise ValueError(f"pattern has {len(pattern)} and input {len(bits)} symbols, table width is {self.width}")
         return all(c == "*" or bool(int(c)) == bool(b) for c, b in zip(pattern, bits))
 
     def match_rows(self, bits: Sequence[bool]) -> list[int]:

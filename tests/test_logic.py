@@ -156,6 +156,12 @@ def test_inputs_of_the_wrong_width_are_rejected():
             table.match_rows(bits)
         with pytest.raises(ValueError):
             table.lookup(bits)
+        with pytest.raises(ValueError):
+            table.matches(table.rows[0][0], bits)
+    small = logic.wildcard_reduce(4, 2)
+    for pattern, bits in (("11**", [1]), ("1*", [1, 0, 0, 0]), ("1*", [1, 0])):
+        with pytest.raises(ValueError):
+            small.matches(pattern, bits)
 
 
 def test_match_counts_agree_with_match_rows():
