@@ -480,12 +480,10 @@ def search_orthogonal_phase_sets(
     then lexicographically by vector indices, vectors in lexicographic
     alphabet order.
 
-    Raises ValueError if |alphabet|^n_modes exceeds 1e8.
+    Raises ValueError if |alphabet|^n_modes exceeds 200,000.
     """
     alphabet = [float(a) for a in alphabet]
     m = len(alphabet) ** n_modes
-    if m > 10 ** 8:
-        raise ValueError("alphabet^n_modes exceeds the supported search bound")
     if m > 200_000:
         raise ValueError("search size too large to materialize the orthogonality graph")
     combos = list(itertools.product(range(len(alphabet)), repeat=n_modes))

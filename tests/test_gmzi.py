@@ -241,6 +241,12 @@ def test_search_orthogonal_sets_finds_hadamard_pairs():
         gmzi.search_orthogonal_phase_sets(40, (0.0, -np.pi), 2)
 
 
+def test_orthogonal_set_search_rejects_more_than_200k_vectors():
+    # 2**18 = 262,144 vectors: over the bound, rejected before any is built
+    with pytest.raises(ValueError, match="too large"):
+        gmzi.search_orthogonal_phase_sets(18, (0.0, -np.pi), 2)
+
+
 def test_switchable_pairwise_coupler():
     dev = gmzi.build_gmzi((2, 2, 2))
     p_in, out_a, out_b = 0, 3, 5
