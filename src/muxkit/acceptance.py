@@ -364,6 +364,10 @@ def _check_feedforward_tables(quick: bool):
     return ok, detail, {"widths": 12}
 
 
+# sha256 of the probe's bytes as released; check 16 fails when any probed output moves
+PROBE_SHA256 = "099f8e1e541393d4cbc9a52daa33eda84cb8805c84256b7be98cc20aa93581c4"
+
+
 def reproducibility_probe() -> str:
     """Serialized numeric outputs from fixed seeds across every module."""
     cfg = gridmux.default_config()
@@ -390,13 +394,13 @@ def reproducibility_probe() -> str:
 
 
 def _check_reproducibility(quick: bool):
-    first = reproducibility_probe()
-    second = reproducibility_probe()
-    ok = first == second
-    detail = f"probe of {len(json.loads(first))} outputs byte-identical across two runs"
     import hashlib
 
-    return ok, detail, {"probe_sha256": hashlib.sha256(first.encode()).hexdigest()}
+    probe = reproducibility_probe()
+    sha = hashlib.sha256(probe.encode()).hexdigest()
+    ok = sha == PROBE_SHA256
+    detail = f"sha256 of the {len(json.loads(probe))}-output probe {'matches' if ok else 'differs from'} the frozen {PROBE_SHA256[:12]}"
+    return ok, detail, {"probe_sha256": sha}
 
 
 CHECKS: tuple[tuple[str, Callable, float | None], ...] = (

@@ -116,6 +116,6 @@ def test_16_reproducibility(results):
 
 
 def test_reproducibility_probe_is_frozen():
-    # check 16 only compares two runs in one process; this pins the bytes
+    # pins the same bytes as check 16, from a literal of its own
     probe = acceptance.reproducibility_probe()
     assert hashlib.sha256(probe.encode()).hexdigest() == PROBE_SHA256
