@@ -352,7 +352,7 @@ def _oracle_find_group(occ, n, max_delay, max_crossing, consumed, start_time):
             continue
         avail = sorted(latest)
         for s in range(m - n + 1):
-            chosen = temporal._greedy_block_match(avail, s, n, max_crossing)
+            chosen = _oracle_block_match(avail, s, n, max_crossing)
             if chosen is not None:
                 photons = tuple((j, latest[j]) for j in chosen)
                 return temporal.GatherRoute(
@@ -364,6 +364,21 @@ def _oracle_find_group(occ, n, max_delay, max_crossing, consumed, start_time):
                     output_shift=(-s) % m,
                 )
     return None
+
+
+def _oracle_block_match(avail, s, n, max_crossing):
+    """Order-preserving match of the ascending modes avail onto slots s..s+n-1.
+
+    Each slot takes the lowest unused mode within max_crossing of it; modes
+    below that reach are skipped for good, so the match keeps mode order.
+    """
+    chosen, rest = [], list(avail)
+    for slot in range(s, s + n):
+        rest = [j for j in rest if j >= slot - max_crossing]
+        if not rest or rest[0] > slot + max_crossing:
+            return None
+        chosen.append(rest.pop(0))
+    return chosen
 
 
 def _oracle_extract(occ, n, max_delay, max_crossing, max_groups):
