@@ -339,13 +339,16 @@ def spatiotemporal_debruijn(
     distinct modes within the trailing delay window, movable order-preserving
     onto a contiguous block with per-photon displacement <= max_crossing.
     """
-    _check_gather(modes, group_size, max_delay, max_crossing, None)
     if group_size == modes:
         raise ValueError("need group_size < modes")
-    return _find_group(_mode_masks(modes, occ), occ.bins, group_size, max_delay, max_crossing, start_time=0)
+    groups = extract_photon_groups(modes, group_size, occ, max_delay, max_crossing, max_groups=1)
+    return groups[0] if groups else None
 
 
 def _check_gather(modes: int, group_size: int, max_delay: int, max_crossing: int, max_groups: int | None) -> None:
+    limits = (modes, group_size, max_delay, max_crossing) + (() if max_groups is None else (max_groups,))
+    if not all(isinstance(x, (int, np.integer)) for x in limits):
+        raise ValueError("modes, group_size and the extraction limits must be integers")
     if not 1 <= group_size <= modes:
         raise ValueError("need 1 <= group_size <= modes")
     if max_delay < 0 or max_crossing < 0:
@@ -354,75 +357,76 @@ def _check_gather(modes: int, group_size: int, max_delay: int, max_crossing: int
         raise ValueError("max_groups must be >= 1")
 
 
-def _mode_masks(modes: int, occ: SpaceTimeOccupancy) -> list[int]:
-    """Per mode, the photons as a bitmask: bit t set when bin t holds one."""
-    if modes != occ.modes:
-        raise ValueError(f"modes {modes} does not match the occupancy's {occ.modes}")
-    return [sum(1 << t for t, x in enumerate(row) if x) for row in occ.grid]
+def _extract_batch(
+    occ: np.ndarray, n: int, max_delay: int, max_crossing: int, max_groups: int | None
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
+    """Greedy repeated extraction on a (T, modes, bins) stack of occupancies, one trial per row.
+
+    Sweeps alignment times ascending.  At each one, every live trial takes
+    its first group again until none finds one, since the next search starts
+    at the last group's align_time; a group consumes its photons, and a trial
+    leaves once it holds max_groups groups (None: no limit).  Returns the
+    (T,) group counts and, per step that found groups, (align, trials, block
+    starts, modes (H, n), bins (H, n)) in the order found.
+    """
+    trials, m, bins = occ.shape
+    avail = np.ascontiguousarray(occ.transpose(2, 0, 1))  # (bins, T, modes): a window is a slice
+    lo = np.maximum(np.arange(bins) - max_delay, 0)  # first bin of each window
+    # modes holding a photon in each window before any is consumed: an upper
+    # bound on every later count, so alignments below n are never searched
+    seen = np.zeros((bins + 1, trials, m), dtype=np.int32)
+    np.cumsum(avail, axis=0, out=seen[1:])
+    ready = (seen[1:] > seen[lo]).sum(axis=2) >= n  # (bins, T)
+    cap = m * bins if max_groups is None else max_groups
+    found = np.zeros(trials, dtype=np.int64)
+    groups = []
+    for align in np.flatnonzero(ready.any(axis=1)).tolist():
+        span = slice(lo[align], align + 1)
+        live = np.flatnonzero(ready[align])
+        while True:
+            # search trials short of max_groups whose window still offers n modes
+            live = live[(found[live] < cap) & (avail[span, live].any(axis=0).sum(axis=1) >= n)]
+            if not len(live):
+                break
+            hit, starts, modes, delays = _groups_at(avail[span, live], n, max_crossing)
+            if not len(hit):
+                break
+            live = live[hit]
+            times = align - delays
+            avail[times, live[:, None], modes] = False
+            found[live] += 1
+            groups.append((align, live, starts, modes, times))
+    return found, groups
 
 
-def _find_group(
-    avail: list[int],
-    bins: int,
-    n: int,
-    max_delay: int,
-    max_crossing: int,
-    start_time: int,
-) -> GatherRoute | None:
-    """First group at an alignment time >= start_time; avail[j] holds mode j's unconsumed photons as bits."""
-    m = len(avail)
-    for align in range(start_time, bins):
-        window = (2 << align) - (1 << max(0, align - max_delay))  # bins lo..align
-        # latest unconsumed photon per mode inside the window
-        latest = {j: w.bit_length() - 1 for j, a in enumerate(avail) if (w := a & window)}
-        if len(latest) < n:
-            continue
-        modes = list(latest)
-        for s in range(m - n + 1):
-            chosen = _greedy_block_match(modes, s, n, max_crossing)
-            if chosen is not None:
-                photons = tuple((j, latest[j]) for j in chosen)
-                return GatherRoute(
-                    photons=photons,
-                    block_start=s,
-                    displacements=tuple((s + i) - j for i, j in enumerate(chosen)),
-                    delays=tuple(align - t for _, t in photons),
-                    align_time=align,
-                    output_shift=(-s) % m,
-                )
-    return None
+def _groups_at(window: np.ndarray, n: int, max_crossing: int):
+    """First group in each trial's window, a (w, trials, modes) slice aligned to its last bin.
 
-
-def _greedy_block_match(avail: list[int], s: int, n: int, max_crossing: int) -> list[int] | None:
-    """Order-preserving match of modes onto slots s..s+n-1 within the bound."""
-    chosen: list[int] = []
-    idx = 0
-    for i in range(n):
-        slot = s + i
-        while idx < len(avail) and avail[idx] < slot - max_crossing:
-            idx += 1
-        if idx == len(avail) or abs(avail[idx] - slot) > max_crossing:
-            return None
-        chosen.append(avail[idx])
-        idx += 1
-    return chosen
-
-
-def _extract(
-    avail: list[int], bins: int, n: int, max_delay: int, max_crossing: int, max_groups: int | None
-) -> list[GatherRoute]:
-    """Greedy repeated extraction; each group clears its photons' bits in avail."""
-    groups: list[GatherRoute] = []
-    start = 0
-    while max_groups is None or len(groups) < max_groups:
-        route = _find_group(avail, bins, n, max_delay, max_crossing, start)
-        if route is None:
-            break
-        groups.append(route)
-        for j, t in route.photons:
-            avail[j] &= ~(1 << t)
-        start = route.align_time  # same window may hold another group
-    return groups
+    A mode offers its latest photon.  Block starts s are tried ascending; the
+    greedy match gives slot s + i the lowest offered mode above the previous
+    pick and at least s + i - max_crossing.  Picks ascend, so it takes the
+    offered modes in order from the first at or above s - max_crossing, and
+    it fills slot s + n - 1 (hence every slot) exactly when modes
+    s - max_crossing .. s + n - 1 + max_crossing offer at least n photons.
+    Returns the trials that found a group (indices into the window), their
+    block starts and the group's modes and delays, (H, n) each.
+    """
+    w, trials, m = window.shape
+    # 1 + the bin index of each mode's latest photon in the window, 0 for none
+    latest = (window * np.arange(1, w + 1)[:, None, None]).max(axis=0)
+    offered = latest > 0
+    below = np.zeros((trials, m + 1), dtype=np.int64)  # below[:, j]: offered modes < j
+    np.cumsum(offered, axis=1, out=below[:, 1:])
+    block = np.arange(m - n + 1)
+    lo, hi = np.maximum(block - max_crossing, 0), np.minimum(block + n + max_crossing, m)
+    ok = below[:, hi] - below[:, lo] >= n
+    hit = np.flatnonzero(ok.any(axis=1))
+    starts = ok[hit].argmax(axis=1)
+    first = below[hit, lo[starts]][:, None]  # rank of the first offered mode >= lo
+    rank = below[hit, :m]
+    chosen = offered[hit] & (rank >= first) & (rank < first + n)
+    modes = np.nonzero(chosen)[1].reshape(-1, n)
+    return hit, starts, modes, w - latest[hit[:, None], modes]
 
 
 def extract_photon_groups(
@@ -433,9 +437,28 @@ def extract_photon_groups(
     max_crossing: int = 2,
     max_groups: int | None = None,
 ) -> list[GatherRoute]:
-    """Greedy repeated extraction; each group consumes its photons."""
+    """Greedy repeated extraction; each group consumes its photons.
+
+    The routes come from the one-trial batch of the simulator's kernel.
+    """
     _check_gather(modes, group_size, max_delay, max_crossing, max_groups)
-    return _extract(_mode_masks(modes, occ), occ.bins, group_size, max_delay, max_crossing, max_groups)
+    if modes != occ.modes:
+        raise ValueError(f"modes {modes} does not match the occupancy's {occ.modes}")
+    _, groups = _extract_batch(np.array(occ.grid, dtype=bool)[None], group_size, max_delay, max_crossing, max_groups)
+    routes = []
+    for align, _, starts, chosen, times in groups:
+        s, js, ts = int(starts[0]), chosen[0].tolist(), times[0].tolist()
+        routes.append(
+            GatherRoute(
+                photons=tuple(zip(js, ts)),
+                block_start=s,
+                displacements=tuple(s + i - j for i, j in enumerate(js)),
+                delays=tuple(align - t for t in ts),
+                align_time=align,
+                output_shift=(-s) % modes,
+            )
+        )
+    return routes
 
 
 def simulate_group_extraction(
@@ -451,20 +474,13 @@ def simulate_group_extraction(
 ) -> dict[int, Estimate]:
     """P(at least k groups) for k = 1..max_groups over random occupancies."""
     _check_gather(modes, group_size, max_delay, max_crossing, max_groups)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if max_groups is None:
+        raise ValueError("max_groups must be an integer >= 1")
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError("bins must be an integer >= 1")
 
     def kernel(u: np.ndarray) -> np.ndarray:
-        # per (trial, mode) photon bitmasks, exact for any number of bins
-        packed = np.packbits(u < p, axis=2, bitorder="little")
-        width = packed.shape[2]
-        data = packed.tobytes()
-        found = np.empty(len(u), dtype=np.int64)
-        for t in range(len(u)):
-            row = t * modes * width
-            avail = [int.from_bytes(data[i: i + width], "little") for i in range(row, row + modes * width, width)]
-            found[t] = len(_extract(avail, bins, group_size, max_delay, max_crossing, max_groups))
-        return found
+        return _extract_batch(u < p, group_size, max_delay, max_crossing, max_groups)[0]
 
     found = run_trials(kernel, (modes, bins), p, trials, seed)
     return {k: reduce_values((found >= k).astype(np.float64), seed) for k in range(1, max_groups + 1)}

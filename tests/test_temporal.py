@@ -395,14 +395,18 @@ def _oracle_extract(occ, n, max_delay, max_crossing, max_groups):
 
 @st.composite
 def _gather_cases(draw):
-    """A random occupancy up to 8 x 130 (past 64 bins) and valid extraction limits."""
+    """A random stack of occupancies up to 8 x 130 (past 64 bins) and valid extraction limits.
+
+    Every trial has its own photon density; an empty and a fully occupied
+    trial close the stack.
+    """
     modes = draw(st.integers(1, 8))
     bins = draw(st.integers(1, 130))
-    seed = draw(st.integers(0, 2**32 - 1))
-    density = draw(st.floats(0.0, 1.0))
-    grid = np.random.default_rng(seed).random((modes, bins)) < density
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    densities = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    stack = np.array([rng.random((modes, bins)) < d for d in densities + [0.0, 1.1]])
     return (
-        _occ(grid.tolist()),
+        stack,
         draw(st.integers(1, modes)),
         draw(st.integers(0, 5)),
         draw(st.integers(0, 4)),
@@ -410,25 +414,51 @@ def _gather_cases(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
+def _route_key(align, block_start, photons):
+    return align, block_start, tuple(photons)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_gather_cases())
 def test_group_extraction_matches_the_set_oracle(case):
-    occ, n, max_delay, max_crossing, max_groups = case
-    got = temporal.extract_photon_groups(occ.modes, n, occ, max_delay, max_crossing, max_groups)
-    assert got == _oracle_extract(occ, n, max_delay, max_crossing, max_groups)
+    stack, n, max_delay, max_crossing, max_groups = case
+    occs = [_occ(grid.tolist()) for grid in stack]
+    want = [_oracle_extract(occ, n, max_delay, max_crossing, max_groups) for occ in occs]
+    found, groups = temporal._extract_batch(stack, n, max_delay, max_crossing, max_groups)
+    assert found.tolist() == [len(w) for w in want]
+    got = [[] for _ in occs]
+    for align, trials, starts, modes, times in groups:
+        for t, s, js, ts in zip(trials.tolist(), starts.tolist(), modes.tolist(), times.tolist()):
+            got[t].append(_route_key(align, s, zip(js, ts)))
+    assert got == [[_route_key(r.align_time, r.block_start, r.photons) for r in w] for w in want]
+    # the public routes are the one-trial batch
+    occ = occs[0]
+    assert temporal.extract_photon_groups(occ.modes, n, occ, max_delay, max_crossing, max_groups) == want[0]
     if n < occ.modes:
         first = temporal.spatiotemporal_debruijn(occ.modes, n, occ, max_delay, max_crossing)
         assert first == _oracle_find_group(occ, n, max_delay, max_crossing, set(), 0)
-    # the bitmask search on its own, past some consumed photons and a later start
-    photons = occ.photons()
-    consumed = set(photons[::3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gather_cases())
+def test_group_search_past_consumed_photons_matches_the_set_oracle(case):
+    # one alignment step on its own, past some consumed photons and from a later start
+    stack, n, max_delay, max_crossing, _ = case
+    occ = _occ(stack[0].tolist())
+    consumed = set(occ.photons()[::3])
     start = occ.bins // 3
-    avail = [
-        sum(1 << t for t in range(occ.bins) if occ.grid[j][t] and (j, t) not in consumed) for j in range(occ.modes)
-    ]
-    assert temporal._find_group(avail, occ.bins, n, max_delay, max_crossing, start) == _oracle_find_group(
-        occ, n, max_delay, max_crossing, consumed, start
-    )
+    avail = stack[:1].transpose(2, 0, 1).copy()  # (bins, trials, modes)
+    for j, t in consumed:
+        avail[t, 0, j] = False
+    got = None
+    for align in range(start, occ.bins):
+        window = avail[max(0, align - max_delay): align + 1]
+        hit, starts, modes, delays = temporal._groups_at(window, n, max_crossing)
+        if len(hit):
+            got = _route_key(align, starts[0], zip(modes[0].tolist(), (align - delays[0]).tolist()))
+            break
+    want = _oracle_find_group(occ, n, max_delay, max_crossing, consumed, start)
+    assert got == (None if want is None else _route_key(want.align_time, want.block_start, want.photons))
 
 
 def test_simulate_group_extraction_across_block_boundaries():
@@ -481,6 +511,24 @@ def test_group_extraction_rejects_invalid_arguments():
         temporal.spatiotemporal_debruijn(4, 3, occ, max_delay=-1)
     with pytest.raises(ValueError):
         temporal.simulate_group_extraction(4, 3, 0, 0.5, trials=4, seed=0)
+
+
+def test_group_extraction_rejects_non_integer_limits():
+    occ = _occ([[1, 1]] * 4)
+    for bad in (dict(max_delay=2.5), dict(max_crossing=1.5), dict(group_size=2.0)):
+        kw = dict(group_size=3) | bad
+        with pytest.raises(ValueError):
+            temporal.simulate_group_extraction(4, bins=2, p=0.5, trials=4, seed=0, **kw)
+        with pytest.raises(ValueError):
+            temporal.extract_photon_groups(4, occ=occ, **kw)
+        with pytest.raises(ValueError):
+            temporal.spatiotemporal_debruijn(4, occ=occ, **kw)
+    with pytest.raises(ValueError):
+        temporal.extract_photon_groups(4, 3, occ, max_groups=1.5)
+    for bad in (dict(max_groups=None), dict(max_groups=2.5), dict(bins=2.5)):
+        kw = dict(bins=2) | bad
+        with pytest.raises(ValueError):
+            temporal.simulate_group_extraction(4, 3, p=0.5, trials=4, seed=0, **kw)
 
 
 def test_raster_rejects_invalid_sizes():
