@@ -370,6 +370,8 @@ def _extract_batch(
     starts, modes (H, n), bins (H, n)) in the order found.
     """
     trials, m, bins = occ.shape
+    # limits past the grid's size change no group and keep the index arithmetic in int64
+    max_delay, max_crossing = min(max_delay, bins), min(max_crossing, m)
     avail = np.ascontiguousarray(occ.transpose(2, 0, 1))  # (bins, T, modes): a window is a slice
     lo = np.maximum(np.arange(bins) - max_delay, 0)  # first bin of each window
     # modes holding a photon in each window before any is consumed: an upper

@@ -335,6 +335,8 @@ def test_extract_photon_groups_consumes():
     assert len({p for ph in used for p in ph}) == 6  # no photon reused
     limited = temporal.extract_photon_groups(4, 3, occ, max_groups=1)
     assert len(limited) == 1
+    # limits far past the grid reach every bin and mode, as 2 already does here
+    assert temporal.extract_photon_groups(4, 3, occ, max_delay=2**70, max_crossing=2**70) == groups
 
 
 def _oracle_find_group(occ, n, max_delay, max_crossing, consumed, start_time):
@@ -404,7 +406,8 @@ def _gather_cases(draw):
     bins = draw(st.integers(1, 130))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     densities = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    stack = np.array([rng.random((modes, bins)) < d for d in densities + [0.0, 1.1]])
+    grids = [rng.random((modes, bins)) < d for d in densities]
+    stack = np.array(grids + [np.zeros((modes, bins)), np.ones((modes, bins))], dtype=bool)
     return (
         stack,
         draw(st.integers(1, modes)),
@@ -418,7 +421,7 @@ def _route_key(align, block_start, photons):
     return align, block_start, tuple(photons)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_gather_cases())
 def test_group_extraction_matches_the_set_oracle(case):
     stack, n, max_delay, max_crossing, max_groups = case
@@ -439,7 +442,7 @@ def test_group_extraction_matches_the_set_oracle(case):
         assert first == _oracle_find_group(occ, n, max_delay, max_crossing, set(), 0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_gather_cases())
 def test_group_search_past_consumed_photons_matches_the_set_oracle(case):
     # one alignment step on its own, past some consumed photons and from a later start
