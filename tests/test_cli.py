@@ -227,6 +227,9 @@ def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
     [
         ["temporal", "--scheme", "gather", "--modes", "4", "--group-size", "6"],
         ["temporal", "--scheme", "raster", "--n-range", "0:8:8"],
+        ["temporal", "--scheme", "debruijn", "--modes", "0", "--bins", "3", "--p-range", "0.1:0.2:0.1"],
+        ["temporal", "--scheme", "debruijn", "--modes", "3", "--bins", "-2", "--p-range", "0.1:0.2:0.1"],
+        ["temporal", "--scheme", "debruijn", "--emit-sequence", "--word-length", "0"],
     ],
 )
 def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):

@@ -132,6 +132,18 @@ def _occ(grid):
     return temporal.SpaceTimeOccupancy(len(rows), len(rows[0]), rows)
 
 
+def test_occupancy_from_photons_sets_the_named_cells():
+    occ = temporal.SpaceTimeOccupancy.from_photons(2, 3, [(1, 2), (0, 0), (1, 2)])
+    assert occ.photons() == ((0, 0), (1, 2))
+
+
+@pytest.mark.parametrize("cell", [(0, -1), (-1, 0), (0, 3), (2, 0), (5, 7)])
+def test_occupancy_from_photons_rejects_cells_off_the_grid(cell):
+    # negative indices used to wrap to the far edge, too-large ones to raise IndexError
+    with pytest.raises(ValueError, match="outside"):
+        temporal.SpaceTimeOccupancy.from_photons(2, 3, [(0, 0), cell])
+
+
 def test_debruijn_route_trivial_cases():
     net = temporal.default_delay_network(4, 4)
     everything_first_bin = _occ([[1, 0, 0, 0]] * 4)
@@ -177,6 +189,23 @@ def test_non_tetris_probability_matches_simulation():
         wins += temporal.debruijn_mux_route(_occ(grid), net).success
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(wins / trials - expected) <= 3 * se
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0, 3, 0.1), "modes must be >= 1"),
+        ((-1, 3, 0.1), "modes"),
+        ((3, 0, 0.1), "bins must be >= 1"),
+        ((3, -2, 0.1), "bins"),
+        ((3, 3, -0.1), "probability"),
+        ((3, 3, 1.5), "probability"),
+        ((3, 3, float("nan")), "probability"),
+    ],
+)
+def test_non_tetris_probability_rejects_invalid_arguments(args, name):
+    with pytest.raises(ValueError, match=name):
+        temporal.non_tetris_success_probability(*args)
 
 
 def test_tetris_probability_exact_and_banded():
