@@ -244,7 +244,7 @@ def _cmd_temporal(args) -> int:
         _emit_csv(args, header, rows)
     elif args.scheme == "debruijn":
         if args.emit_sequence:
-            seq = temporal.reduced_de_bruijn(args.modes, args.word_length or args.modes)
+            seq = temporal.reduced_de_bruijn(args.modes, args.modes if args.word_length is None else args.word_length)
             rows = [[i, s] for i, s in enumerate(seq)]
             _emit_csv(args, ["index", "delay"], rows)
         else:

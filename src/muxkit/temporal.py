@@ -66,6 +66,8 @@ class SpaceTimeOccupancy:
     def from_photons(cls, modes: int, bins: int, cells: Iterable[tuple[int, int]]) -> "SpaceTimeOccupancy":
         grid = [[False] * bins for _ in range(modes)]
         for j, t in cells:
+            if not (0 <= j < modes and 0 <= t < bins):
+                raise ValueError(f"photon cell {(j, t)} is outside the {modes} x {bins} grid")
             grid[j][t] = True
         return cls(modes, bins, tuple(tuple(r) for r in grid))
 
@@ -289,6 +291,11 @@ def replay_debruijn_route(network: DelayNetwork, route: DeBruijnRoute) -> tuple[
 
 def non_tetris_success_probability(modes: int, bins: int, p: float) -> float:
     """Every mode occupied at least once: [1 - (1-p)**bins]**modes."""
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    analytics.check_probability(p)
     return analytics.p_mux_single(bins, p) ** modes
 
 
