@@ -640,17 +640,56 @@ def enlarged_gmzi_factorization(n1: int, n2: int, k1: int, k2: int):
 # ---------------------------------------------------------------------------
 # serialization
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already-rendered item texts, laid out as `json.dumps(indent=2)`.
+
+    `indent` is the indentation of the line the list starts on; an item that
+    spans several lines must already be indented for its own depth.
+    """
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_value(value, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for a value that starts on a line at `indent`.
+
+    Shifting every line is safe because encoded JSON strings hold no raw newline.
+    """
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_floats(values) -> np.ndarray:
+    """Object array of the JSON text of each value at 15 significant digits.
+
+    Each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = [repr(float(f"{x:.15g}")) for x in distinct.tolist()]
+    for i in np.flatnonzero(~np.isfinite(distinct)):  # json spells these NaN and [-]Infinity
+        texts[i] = json.dumps(distinct[i].item())
+    return np.array(texts, dtype=object)[inverse.reshape(arr.shape)]
+
+
 def device_to_json(dev: GmziDevice) -> str:
-    """Serialize a device; angles in radians at 15 significant digits."""
-    def fmt(x):
-        return float(f"{float(x):.15g}")
-    payload = {
-        "spec": list(dev.factors),
-        "N": dev.n_modes,
-        "offsets": None if dev.offsets is None else [fmt(x) for x in dev.offsets],
-        "settings": [[fmt(a) for a in row] for row in all_setting_angles(dev).tolist()],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """Serialize a device; angles in radians at 15 significant digits.
+
+    The text equals, byte for byte, `json.dumps(payload, sort_keys=True,
+    indent=2)` of the payload {"spec": list(factors), "N": N, "offsets": None
+    or a list, "settings": one list of angles per setting}, each angle being
+    `float(f"{x:.15g}")`.  The settings are rendered directly, one text per
+    distinct angle, because the stdlib cannot use its C encoder with indent.
+    """
+    rows = _json_floats(all_setting_angles(dev)).tolist()
+    settings = _json_list([_json_list(row, "    ") for row in rows], "  ")
+    offsets = "null" if dev.offsets is None else _json_list(_json_floats(dev.offsets).tolist(), "  ")
+    return (
+        f'{{\n  "N": {_json_value(dev.n_modes, "  ")},\n  "offsets": {offsets},\n'
+        f'  "settings": {settings},\n  "spec": {_json_value(list(dev.factors), "  ")}\n}}'
+    )
 
 
 def device_from_json(text: str) -> GmziDevice:

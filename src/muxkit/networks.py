@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .gmzi import _factorize, _inversions, build_gmzi, decompose_stages
+from .gmzi import _factorize, _inversions, _json_list, _json_value, build_gmzi, decompose_stages
 
 __all__ = [
     "Component",
@@ -439,25 +440,69 @@ def _jsonable(v):
     return v
 
 
+def _int_list_json(values, indent: str) -> str | None:
+    """JSON text of a list or tuple whose items are all ints (bools excluded), else None."""
+    if set(map(type, values)) <= {int}:
+        return _json_list(list(map(int.__repr__, values)), indent)
+    return None
+
+
+def _param_json(value, indent: str) -> str:
+    """One param value, as `_jsonable` and then `json.dumps` would write it."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) in (list, tuple) and (text := _int_list_json(value, indent)):
+        return text
+    return _json_value(_jsonable(value), indent)
+
+
+def _params_json(params: dict, indent: str) -> str:
+    """A component's params dict; non-string keys leave the whole dict to `json.dumps`."""
+    items = params.items()
+    if not all(type(k) is str for k, _ in items):
+        return _json_value({k: _jsonable(v) for k, v in items}, indent)
+    if not params:
+        return "{}"
+    inner = "\n" + indent + "  "
+    return "{" + inner + ("," + inner).join(
+        f"{encode_basestring_ascii(k)}: {_param_json(params[k], indent + '  ')}" for k in sorted(params)
+    ) + "\n" + indent + "}"
+
+
+def _component_json(c: Component) -> str:
+    """One entry of the components list; its keys sit at a depth of six spaces."""
+    pad = " " * 6
+    in_ports = _int_list_json(c.in_ports, pad) or _json_value(list(c.in_ports), pad)
+    out_ports = _int_list_json(c.out_ports, pad) or _json_value(list(c.out_ports), pad)
+    kind = encode_basestring_ascii(c.kind) if type(c.kind) is str else _json_value(c.kind, pad)
+    return (
+        f'{{\n{pad}"in_ports": {in_ports},\n{pad}"kind": {kind},\n'
+        f'{pad}"out_ports": {out_ports},\n{pad}"params": {_params_json(c.params, pad)}\n    }}'
+    )
+
+
 def network_to_json(net: Network) -> str:
-    payload = {
-        "name": net.name,
-        "params": net.params,
-        "n_ports": net.n_ports,
-        "input_ports": list(net.input_ports),
-        "output_ports": list(net.output_ports),
-        "drop_ports": list(net.drop_ports),
-        "components": [
-            {
-                "kind": c.kind,
-                "in_ports": list(c.in_ports),
-                "out_ports": list(c.out_ports),
-                "params": {k: _jsonable(v) for k, v in c.params.items()},
-            }
-            for c in net.components
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """Serialize a network as JSON.
+
+    The text equals, byte for byte, `json.dumps(payload, sort_keys=True,
+    indent=2)` of the payload {"name", "params", "n_ports", "input_ports",
+    "output_ports", "drop_ports" (port tuples as lists), "components": one
+    {"kind", "in_ports", "out_ports", "params"} dict per component, each
+    param value passed through `_jsonable`}.  Components are rendered from a
+    fixed template, because the stdlib cannot use its C encoder with indent;
+    irregular values still go through `json.dumps`.
+    """
+    return (
+        f'{{\n  "components": {_json_list([_component_json(c) for c in net.components], "  ")},\n'
+        f'  "drop_ports": {_json_value(list(net.drop_ports), "  ")},\n'
+        f'  "input_ports": {_json_value(list(net.input_ports), "  ")},\n'
+        f'  "n_ports": {_json_value(net.n_ports, "  ")},\n'
+        f'  "name": {_json_value(net.name, "  ")},\n'
+        f'  "output_ports": {_json_value(list(net.output_ports), "  ")},\n'
+        f'  "params": {_json_value(net.params, "  ")}\n}}'
+    )
 
 
 def network_from_json(text: str) -> Network:

@@ -405,6 +405,38 @@ def test_device_algebra_digest_is_frozen():
     assert _device_algebra_digest() == DEVICE_DIGEST
 
 
+def _device_json_oracle(dev) -> str:
+    # the payload device_to_json writes, through the stdlib encoder
+    def fmt(x):
+        return float(f"{float(x):.15g}")
+
+    payload = {
+        "spec": list(dev.factors),
+        "N": dev.n_modes,
+        "offsets": None if dev.offsets is None else [fmt(x) for x in dev.offsets],
+        "settings": [[fmt(a) for a in row] for row in gmzi.all_setting_angles(dev).tolist()],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("spec", DIGEST_SPECS)
+def test_device_json_equals_the_stdlib_encoder(spec):
+    n = math.prod(spec)
+    special = np.resize([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 0.0], n)
+    for offsets in (None, np.linspace(-np.pi, 0.0, n), special):
+        dev = gmzi.build_gmzi(spec, offsets=offsets)
+        assert gmzi.device_to_json(dev) == _device_json_oracle(dev)
+
+
+def test_device_json_keeps_signed_zeros_apart():
+    # angles are deduplicated by bit pattern; 0.0 == -0.0 but they print differently
+    assert gmzi._json_floats([0.0, -0.0, 0.0, -0.0]).tolist() == ["0.0", "-0.0", "0.0", "-0.0"]
+    dev = gmzi.build_gmzi((2,), offsets=[-0.0, 0.0])
+    text = gmzi.device_to_json(dev)
+    assert text == _device_json_oracle(dev)
+    assert '"offsets": [\n    -0.0,\n    0.0\n  ]' in text
+
+
 def _within_64(factors):
     # longest prefix whose product stays <= 64 (the first factor always fits)
     out = []

@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxkit import networks
 
@@ -207,6 +210,108 @@ def test_network_json_roundtrip():
         assert networks.metrics(back) == networks.metrics(net)
         assert back.name == net.name
         assert len(back.components) == len(net.components)
+
+
+def _network_json_oracle(net) -> str:
+    # the payload network_to_json writes, through the stdlib encoder
+    payload = {
+        "name": net.name,
+        "params": net.params,
+        "n_ports": net.n_ports,
+        "input_ports": list(net.input_ports),
+        "output_ports": list(net.output_ports),
+        "drop_ports": list(net.drop_ports),
+        "components": [
+            {
+                "kind": c.kind,
+                "in_ports": list(c.in_ports),
+                "out_ports": list(c.out_ports),
+                "params": {k: networks._jsonable(v) for k, v in c.params.items()},
+            }
+            for c in net.components
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+BUILDER_SIZES = {
+    "log-tree": [(8, 2), (27, 3), (16, 4)],
+    "chain": [(2, 2), (10, 3)],
+    "delay-network": [(8, 2), (12, 3)],
+    "storage-loop": [(7, 4), (16, 2)],
+    "spanke": [(6, 3), (16, 4), (16, 4, True)],
+    "concatenated-gmzi": [(6, 3), (12, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(networks.BUILDERS))
+def test_network_json_equals_the_stdlib_encoder_for_every_builder(name):
+    assert sorted(BUILDER_SIZES) == sorted(networks.BUILDERS)
+    for args in BUILDER_SIZES[name]:
+        net = networks.BUILDERS[name](*args)
+        assert networks.network_to_json(net) == _network_json_oracle(net)
+
+
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(['"\\/\n\t\x00\x1f', "é", "\U0001f600", "\u2028", ""]))
+_FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]))
+_PLAIN = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FLOAT, _TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_NUMPY = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FLOAT.map(np.float64),
+    st.booleans().map(np.bool_),
+    st.lists(st.integers(-(2**31), 2**31 - 1), max_size=4).map(lambda v: np.array(v, dtype=np.int32)),
+    st.lists(_FLOAT, max_size=4).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array),
+)
+# param values are converted by _jsonable, which reaches numpy values at the
+# top level and inside lists and tuples, not inside dicts
+_PARAM = st.one_of(
+    _PLAIN,
+    _NUMPY,
+    st.lists(st.one_of(st.integers(), _NUMPY), max_size=4),
+    st.lists(st.integers(), max_size=6).map(tuple),
+)
+_PORTS = st.lists(st.one_of(st.integers(0, 10**9), st.booleans(), _FLOAT), max_size=5)
+_COMPONENT = st.builds(
+    networks.Component,
+    kind=st.one_of(st.sampled_from(networks.KINDS), _TEXT, st.integers()),
+    in_ports=_PORTS.map(tuple),
+    out_ports=_PORTS.map(tuple),
+    params=st.one_of(
+        st.dictionaries(_TEXT, _PARAM, max_size=4),
+        st.dictionaries(st.integers(-5, 5), _PARAM, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=_TEXT,
+    components=st.lists(_COMPONENT, max_size=4).map(tuple),
+    ports=st.lists(st.integers(0, 50), max_size=4).map(tuple),
+    n_ports=st.integers(0, 2**40),
+    params=st.dictionaries(_TEXT, _PLAIN, max_size=4),
+)
+def test_network_json_equals_the_stdlib_encoder_on_drawn_networks(name, components, ports, n_ports, params):
+    net = networks.Network(
+        name=name,
+        components=components,
+        input_ports=ports,
+        output_ports=ports[::-1],
+        drop_ports=ports[1:],
+        n_ports=n_ports,
+        params=params,
+    )
+    assert networks.network_to_json(net) == _network_json_oracle(net)
 
 
 def _tampered(net, index, **changes):
