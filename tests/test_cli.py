@@ -230,6 +230,7 @@ def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
         ["temporal", "--scheme", "debruijn", "--modes", "0", "--bins", "3", "--p-range", "0.1:0.2:0.1"],
         ["temporal", "--scheme", "debruijn", "--modes", "3", "--bins", "-2", "--p-range", "0.1:0.2:0.1"],
         ["temporal", "--scheme", "debruijn", "--emit-sequence", "--word-length", "0"],
+        ["temporal", "--scheme", "debruijn", "--modes", "5", "--bins", "5", "--tetris", "--p-range", "0.2"],
     ],
 )
 def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):
@@ -237,6 +238,23 @@ def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["logic", "--table", "wildcard", "--width", "0", "--photons", "0"],
+        ["logic", "--table", "wildcard", "--width", "-1", "--photons", "0"],
+        ["logic", "--table", "encoder", "--width", "0"],
+        ["logic", "--table", "encoder", "--width", "-1"],
+    ],
+)
+def test_invalid_logic_arguments_are_clean_errors(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "width" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_quick_json_is_byte_stable(tmp_path):

@@ -92,6 +92,12 @@ def test_zero_photon_table_matches_everything():
         logic.wildcard_reduce(4, 5)
 
 
+def test_width_below_one_is_rejected():
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="width"):
+            logic.wildcard_reduce(width, 0)
+
+
 def test_csv_golden():
     table = logic.wildcard_reduce(3, 2)
     assert table.to_csv() == (
@@ -130,7 +136,7 @@ def _tables_and_inputs(draw):
         rows = tuple((pat, (i,)) for i, pat in enumerate(draw(st.lists(pattern, max_size=20))))
         table = logic.TruthTable(width=width, rows=rows, default_outputs=(-1,))
     else:
-        width = draw(st.integers(0, 9))
+        width = draw(st.integers(1, 9))
         table = logic.wildcard_reduce(width, draw(st.integers(0, width)))
     # bits in the spellings callers use: bools, 0/1 ints and numpy bools
     bit = st.sampled_from([False, True, 0, 1, np.False_, np.True_])
@@ -165,7 +171,8 @@ def test_inputs_of_the_wrong_width_are_rejected():
 
 
 def test_match_counts_agree_with_match_rows():
-    tables = [logic.wildcard_reduce(w, n) for w in range(0, 11) for n in {0, w // 2, w}]
+    tables = [logic.wildcard_reduce(w, n) for w in range(1, 11) for n in {0, w // 2, w}]
+    tables.append(logic.TruthTable(width=0, rows=(("", (1,)),), default_outputs=(0,)))
     tables.append(logic.TruthTable(width=3, rows=(("1**", (1,)), ("*1*", (2,)), ("0*0", (3,))), default_outputs=(0,)))
     for table in tables:
         counts = table.match_counts()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -191,21 +192,27 @@ def test_non_tetris_probability_matches_simulation():
     assert abs(wins / trials - expected) <= 3 * se
 
 
-@pytest.mark.parametrize(
-    "args, name",
-    [
-        ((0, 3, 0.1), "modes must be >= 1"),
-        ((-1, 3, 0.1), "modes"),
-        ((3, 0, 0.1), "bins must be >= 1"),
-        ((3, -2, 0.1), "bins"),
-        ((3, 3, -0.1), "probability"),
-        ((3, 3, 1.5), "probability"),
-        ((3, 3, float("nan")), "probability"),
-    ],
-)
+_INVALID_PROBABILITY_ARGS = [
+    ((0, 3, 0.1), "modes must be >= 1"),
+    ((-1, 3, 0.1), "modes"),
+    ((3, 0, 0.1), "bins must be >= 1"),
+    ((3, -2, 0.1), "bins"),
+    ((3, 3, -0.1), "probability"),
+    ((3, 3, 1.5), "probability"),
+    ((3, 3, float("nan")), "probability"),
+]
+
+
+@pytest.mark.parametrize("args, name", _INVALID_PROBABILITY_ARGS)
 def test_non_tetris_probability_rejects_invalid_arguments(args, name):
     with pytest.raises(ValueError, match=name):
         temporal.non_tetris_success_probability(*args)
+
+
+@pytest.mark.parametrize("args, name", _INVALID_PROBABILITY_ARGS)
+def test_tetris_probability_rejects_invalid_arguments(args, name):
+    with pytest.raises(ValueError, match=name):
+        temporal.tetris_success_probability(*args)
 
 
 def test_tetris_probability_exact_and_banded():
@@ -297,6 +304,23 @@ def _ordered_tuple_tetris_probability(m, b, p):
 @pytest.mark.parametrize("m,b,p", [(2, 6, Fraction(1, 3)), (3, 4, Fraction(1, 5)), (3, 5, Fraction(3, 10))])
 def test_tetris_probability_matches_ordered_tuple_enumeration(m, b, p):
     assert temporal.tetris_success_probability(m, b, p) == _ordered_tuple_tetris_probability(m, b, p)
+
+
+def _multiset_tetris_probability(m, b, p):
+    """Reference: solve each multiset of b bin masks once, weighted by its count of orderings."""
+    weight = [p ** bin(x).count("1") * (1 - p) ** (m - bin(x).count("1")) for x in range(1 << m)]
+    total = Fraction(0)
+    for masks in itertools.combinations_with_replacement(range(1 << m), b):
+        if temporal._tetris_schedule(masks, m) is not None:
+            orderings = math.factorial(b) // math.prod(map(math.factorial, Counter(masks).values()))
+            total += orderings * math.prod(weight[mask] for mask in masks)
+    return total
+
+
+@pytest.mark.parametrize("m,b", [(m, b) for m in range(1, 13) for b in range(1, 13) if m * b <= 12])
+def test_tetris_probability_matches_multiset_enumeration(m, b):
+    for p in (Fraction(1, 4), Fraction(7, 10)):
+        assert temporal.tetris_success_probability(m, b, p) == _multiset_tetris_probability(m, b, p)
 
 
 def test_tetris_route_on_a_long_full_window():
