@@ -253,7 +253,7 @@ def _cmd_temporal(args) -> int:
                 single = temporal.non_tetris_success_probability(args.modes, args.bins, p)
                 row = [args.modes, args.bins, p, single]
                 if args.tetris:
-                    row.append(float(temporal.tetris_success_probability(args.modes, args.bins, Fraction(p).limit_denominator(10**9))))
+                    row.append(float(temporal.tetris_success_probability(args.modes, args.bins, p)))
                 rows.append(row)
             header = ["modes", "bins", "p", "single_shift_prob"] + (["per_bin_shift_prob"] if args.tetris else [])
             _emit_csv(args, header, rows)
@@ -334,8 +334,8 @@ def _cmd_logic(args) -> int:
         table = logic.wildcard_reduce(args.width, args.photons)
         text = table.to_csv()
     elif args.table == "encoder":
-        if args.width > 16:
-            raise ValueError("encoder enumeration needs width <= 16")
+        if not 1 <= args.width <= 16:
+            raise ValueError("encoder enumeration needs 1 <= width <= 16")
         lines = ["pattern,first_index"]
         for x in range(1 << args.width):
             bits = [bool(x >> i & 1) for i in range(args.width)]

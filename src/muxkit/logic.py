@@ -105,8 +105,11 @@ def wildcard_reduce(
     replaced by a wildcard, so any input with >= n ones matches exactly the
     row of its first n ones.  Appended to the outputs of outputs_for (default
     none) is one dump bit per port, set except on the n selected ports, so
-    surplus photons on wildcard positions are discarded.
+    surplus photons on wildcard positions are discarded.  The width must be
+    at least 1.
     """
+    if width < 1:
+        raise ValueError("width must be >= 1")
     if not 0 <= n_photons <= width:
         raise ValueError("need 0 <= n_photons <= width")
     rows = []
@@ -117,5 +120,5 @@ def wildcard_reduce(
         outs = tuple(outputs_for(base)) if outputs_for is not None else ()
         dump = tuple(0 if i in ones else 1 for i in range(width))
         rows.append((pattern, outs + dump))
-    default = (tuple(0 for _ in range(len(rows[0][1]) - width)) if rows else ()) + (1,) * width
+    default = (0,) * (len(rows[0][1]) - width) + (1,) * width
     return TruthTable(width=width, rows=tuple(rows), default_outputs=default)

@@ -9,9 +9,6 @@ appears as a contiguous window.
 
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -193,10 +190,6 @@ class DeBruijnRoute:
     align_time: int
 
 
-def _failed(occ: SpaceTimeOccupancy) -> DeBruijnRoute:
-    return DeBruijnRoute(False, (0,) * occ.bins, (None,) * occ.modes, -1, -1)
-
-
 def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: bool = False) -> DeBruijnRoute:
     """Find shifter settings aligning one photon per port at a common time.
 
@@ -211,64 +204,57 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
         raise ValueError("network dims do not match occupancy")
     bin_masks = [sum(1 << j for j in range(m) if occ.grid[j][t]) for t in range(b)]
     schedule = _tetris_schedule(bin_masks, m) if tetris else (0,) * b
-    picked = None if schedule is None else _pick_ports(bin_masks, m, b, schedule)
+    picked = None if schedule is None else _pick_ports(bin_masks, m, schedule)
     if picked is None:
-        return _failed(occ)
-    return _witness(network, schedule, picked)
-
-
-def _tetris_schedule(bin_masks: Sequence[int], m: int) -> tuple[int, ...] | None:
-    """Lexicographically first per-bin shift schedule covering all m ports.
-
-    reach[t] is the set of port masks covered by some choice of shifts for
-    bins 0..t-1; if the full mask is not in reach[b] no schedule exists.
-    Otherwise a backward pass keeps the states that can still complete to
-    the full mask, and a forward walk takes the smallest shift per bin that
-    stays among them.
-    """
-    full = (1 << m) - 1
-    shifted = [[_shift_mask(mask, c, m) for c in range(m)] for mask in bin_masks]
-    reach = [{0}]
-    for options in shifted:
-        reach.append({r | s for r in reach[-1] for s in options})
-    if full not in reach[-1]:
-        return None
-    alive = [{full}]
-    for options, states in zip(reversed(shifted), reversed(reach[:-1])):
-        alive.append({r for r in states if any(r | s in alive[-1] for s in options)})
-    schedule, state = [], 0
-    for options, ahead in zip(shifted, reversed(alive[:-1])):
-        c = next(c for c, s in enumerate(options) if state | s in ahead)
-        schedule.append(c)
-        state |= options[c]
-    return tuple(schedule)
-
-
-def _shift_mask(mask: int, c: int, m: int) -> int:
-    return ((mask << c) | (mask >> (m - c))) & ((1 << m) - 1) if c else mask
-
-
-def _pick_ports(bin_masks: list[int], m: int, b: int, schedule: Sequence[int]) -> list[tuple[int, int]] | None:
-    """Latest photon reaching each port under the schedule, or None if a gap."""
-    picked: list[tuple[int, int] | None] = [None] * m
-    for t in range(b):
-        mask = bin_masks[t]
-        for j in range(m):
-            if (mask >> j) & 1:
-                q = (j + schedule[t]) % m
-                picked[q] = (j, t)  # later bins overwrite: latest wins
-    if any(x is None for x in picked):
-        return None
-    return picked  # type: ignore[return-value]
-
-
-def _witness(network: DelayNetwork, schedule: tuple[int, ...], picked: list[tuple[int, int]]) -> DeBruijnRoute:
+        return DeBruijnRoute(False, (0,) * b, (None,) * m, -1, -1)
     align = max(t for _, t in picked)
     word = tuple(align - t for _, t in picked)
     pos = network._positions.get(word)
     if pos is None:
         raise AssertionError(f"delay word {word} missing from the sequence")
     return DeBruijnRoute(True, schedule, tuple(picked), pos, align)
+
+
+def _tetris_schedule(bin_masks: Sequence[int], m: int) -> tuple[int, ...] | None:
+    """Lexicographically first per-bin shift schedule covering all m ports.
+
+    ahead[k], built backward one `_reach_step` per bin, holds the port masks
+    that the last k bins can cover; a schedule exists iff the full mask is in
+    ahead[b].  The forward pick gives each bin its smallest shift after which
+    the bins still ahead can cover every port left open.
+    """
+    full = (1 << m) - 1
+    shifted = [[_shift_mask(mask, c, m) for c in range(m)] for mask in bin_masks]
+    ahead = [frozenset({0})]
+    for options in reversed(shifted):
+        ahead.append(_reach_step(ahead[-1], options))
+    if full not in ahead[-1]:
+        return None
+    schedule, state = [], 0
+    for options, rest in zip(shifted, reversed(ahead[:-1])):
+        c = next(c for c, s in enumerate(options) if any(state | s | u == full for u in rest))
+        schedule.append(c)
+        state |= options[c]
+    return tuple(schedule)
+
+
+def _reach_step(reach: frozenset[int], options: Sequence[int]) -> frozenset[int]:
+    """Port masks covered after one more bin that may take any of the shifted masks in options."""
+    return frozenset(r | s for r in reach for s in options)
+
+
+def _shift_mask(mask: int, c: int, m: int) -> int:
+    return ((mask << c) | (mask >> (m - c))) & ((1 << m) - 1) if c else mask
+
+
+def _pick_ports(bin_masks: list[int], m: int, schedule: Sequence[int]) -> list[tuple[int, int]] | None:
+    """Latest photon reaching each port under the schedule, or None if a gap."""
+    picked: list[tuple[int, int] | None] = [None] * m
+    for t, (mask, c) in enumerate(zip(bin_masks, schedule)):
+        for j in range(m):
+            if mask >> j & 1:
+                picked[(j + c) % m] = (j, t)  # later bins overwrite: latest wins
+    return None if None in picked else picked  # type: ignore[return-value]
 
 
 def replay_debruijn_route(network: DelayNetwork, route: DeBruijnRoute) -> tuple[int, ...]:
@@ -289,34 +275,46 @@ def replay_debruijn_route(network: DelayNetwork, route: DeBruijnRoute) -> tuple[
     return tuple(arrivals)
 
 
-def non_tetris_success_probability(modes: int, bins: int, p: float) -> float:
-    """Every mode occupied at least once: [1 - (1-p)**bins]**modes."""
+def _check_window_args(modes: int, bins: int, p: Fraction | float) -> None:
     if modes < 1:
         raise ValueError("modes must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     analytics.check_probability(p)
+
+
+def non_tetris_success_probability(modes: int, bins: int, p: float) -> float:
+    """Every mode occupied at least once: [1 - (1-p)**bins]**modes."""
+    _check_window_args(modes, bins, p)
     return analytics.p_mux_single(bins, p) ** modes
 
 
 def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fraction:
-    """Exact success probability with per-bin shifts, by full enumeration.
+    """Exact success probability with per-bin shifts, as a walk over reach sets.
 
-    Success depends only on the multiset of per-bin mode masks, so the sum
-    runs over multisets of b masks, each weighted by its multinomial count of
-    orderings, and `_tetris_schedule` solves each multiset once.
+    The state after t bins is the set of port masks that their shifts can
+    cover.  Each bin takes every mode mask x, weighted p^|x| (1-p)^(m-|x|),
+    and moves the state one `_reach_step`; the result is the weight of the
+    states holding the full mask.  A float p becomes the nearest fraction
+    with denominator <= 10^9.
     """
-    p = Fraction(p).limit_denominator(10 ** 9) if not isinstance(p, Fraction) else p
+    _check_window_args(modes, bins, p)
     m, b = modes, bins
     if m * b > 24:
-        raise ValueError("enumeration limited to small grids")
-    weight = [p ** bin(mask).count("1") * (1 - p) ** (m - bin(mask).count("1")) for mask in range(1 << m)]
-    total = Fraction(0)
-    for masks in itertools.combinations_with_replacement(range(1 << m), b):
-        if _tetris_schedule(masks, m) is not None:
-            orderings = math.factorial(b) // math.prod(map(math.factorial, Counter(masks).values()))
-            total += orderings * math.prod(weight[mask] for mask in masks)
-    return total
+        raise ValueError("per-bin-shift probability limited to modes * bins <= 24")
+    p = Fraction(p).limit_denominator(10 ** 9) if not isinstance(p, Fraction) else p
+    shifted = [[_shift_mask(x, c, m) for c in range(m)] for x in range(1 << m)]
+    weight = [p ** x.bit_count() * (1 - p) ** (m - x.bit_count()) for x in range(1 << m)]
+    states = {frozenset({0}): Fraction(1)}
+    for _ in range(b):
+        walked: dict[frozenset[int], Fraction] = {}
+        for reach, w in states.items():
+            for options, wx in zip(shifted, weight):
+                nxt = _reach_step(reach, options)
+                walked[nxt] = walked.get(nxt, 0) + w * wx
+        states = walked
+    full = (1 << m) - 1
+    return sum((w for reach, w in states.items() if full in reach), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
