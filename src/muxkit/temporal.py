@@ -303,13 +303,14 @@ def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fr
     if m * b > 24:
         raise ValueError("per-bin-shift probability limited to modes * bins <= 24")
     p = Fraction(p).limit_denominator(10 ** 9) if not isinstance(p, Fraction) else p
-    shifted = [[_shift_mask(x, c, m) for c in range(m)] for x in range(1 << m)]
-    weight = [p ** x.bit_count() * (1 - p) ** (m - x.bit_count()) for x in range(1 << m)]
+    weight = [p ** k * (1 - p) ** (m - k) for k in range(m + 1)]  # by photon count
     states = {frozenset({0}): Fraction(1)}
     for _ in range(b):
         walked: dict[frozenset[int], Fraction] = {}
-        for reach, w in states.items():
-            for options, wx in zip(shifted, weight):
+        for x in range(1 << m):
+            options = [_shift_mask(x, c, m) for c in range(m)]
+            wx = weight[x.bit_count()]
+            for reach, w in states.items():
                 nxt = _reach_step(reach, options)
                 walked[nxt] = walked.get(nxt, 0) + w * wx
         states = walked
