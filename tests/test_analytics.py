@@ -222,6 +222,11 @@ def test_raster_yield_rejects_bad_input():
     for n in (0, -4):
         with pytest.raises(ValueError):
             analytics.raster_yield("one-mux", n, 0.1)
+    # p = 0 still resolves the strategy and checks that m divides n
+    for strategy, n in (("bogus", 16), ("two-mux", 15), ("four-mux", 18)):
+        for p in (0.0, 0.1):
+            with pytest.raises(ValueError):
+                analytics.raster_yield(strategy, n, p)
     for p in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
             analytics.raster_yield("one-mux", 16, p)
@@ -256,6 +261,11 @@ def test_max_raster_yield():
         _, ys = analytics.max_raster_yield(strat)
         assert ys == pytest.approx(y, abs=1e-6)
     assert x > 0
+    # the aliases name the one-mux and two-mux strategies
+    assert analytics.max_raster_yield("i") == analytics.max_raster_yield("one-mux")
+    assert analytics.max_raster_yield("ii") == analytics.max_raster_yield("two-mux")
+    with pytest.raises(ValueError):
+        analytics.max_raster_yield("bogus")
 
 
 def test_raster_crossover():
@@ -268,6 +278,9 @@ def test_raster_crossover():
     assert lo > 0 > hi
     with pytest.raises(ValueError):
         analytics.raster_crossover(0.05, lo=512.0, hi=1024.0)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            analytics.raster_crossover(p)
 
 
 def test_ghz_improvement_factors():

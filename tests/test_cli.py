@@ -209,9 +209,14 @@ def test_domain_error_exits_1(capsys):
 
 
 def test_raster_curve_from_zero_sources_is_a_clean_error(capsys):
-    assert main(["analyze", "--curve", "raster", "--n-range", "0:8:8", "--p", "0.1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    for argv in (
+        ["analyze", "--curve", "raster", "--n-range", "0:8:8", "--p", "0.1"],
+        ["analyze", "--curve", "crossover", "--p", "nan"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_missing_config_file_is_a_clean_error(tmp_path, capsys):

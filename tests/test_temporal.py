@@ -323,6 +323,16 @@ def test_tetris_probability_matches_multiset_enumeration(m, b):
         assert temporal.tetris_success_probability(m, b, p) == _multiset_tetris_probability(m, b, p)
 
 
+def test_caller_built_delay_networks_are_checked():
+    for delays in ((), (0, 5), (-1, 0, 1), (0, 2)):
+        with pytest.raises(ValueError, match="delay"):
+            temporal.DelayNetwork(2, 2, delays)
+    # a valid bank that lacks a word the route needs: delays (0, 0) hold only word (0, 0)
+    net = temporal.DelayNetwork(2, 2, (0,))
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        temporal.debruijn_mux_route(_occ([[1, 0], [0, 1]]), net)
+
+
 def test_tetris_route_on_a_long_full_window():
     occ = _occ([[1] * 1500] * 2)
     net = temporal.DelayNetwork(2, 1500, temporal.reduced_de_bruijn(2, 2))  # delays 0, 1
@@ -675,6 +685,8 @@ def test_raster_aliases_and_guards():
         temporal.raster_simulate("one-mux", 16, 0.1, enhanced=False, trials=1, seed=1)
     with pytest.raises(ValueError):
         temporal.raster_simulate("two-mux", 15, 0.1, enhanced=False, trials=50, seed=1)
+    # a simulated strategy's group spans 4 // m steps of its m muxes
+    assert all(steps * analytics.RASTER_MUXES[s] == 4 for s, steps in temporal.RASTER_GROUP_STEPS.items())
 
 
 def test_raster_rejects_unsupported_strategies():
