@@ -30,12 +30,15 @@ __all__ = [
     "p_bsg",
     "footprint",
     "Footprint",
+    "raster_muxes",
     "raster_rate",
     "raster_yield",
     "max_raster_yield",
     "raster_crossover",
     "ghz_improvement_factors",
     "enlarged_gmzi_mux_reduction",
+    "RASTER_MUXES",
+    "RASTER_ALIASES",
     "RASTER_STRATEGIES",
 ]
 
@@ -264,41 +267,45 @@ def footprint(n_sources: int, p: float, yield_: float, p_group: float, p_out: fl
     return Footprint(copies=copies, sources=n_sources * copies, sources_approx=approx)
 
 
-RASTER_STRATEGIES = ("one-mux", "two-mux", "four-mux", "four-mux-interleaved")
-_RASTER_ALIASES = {"i": "one-mux", "ii": "two-mux"}
+RASTER_MUXES = {"one-mux": 1, "two-mux": 2, "four-mux": 4, "four-mux-interleaved": 4}
+RASTER_ALIASES = {"i": "one-mux", "ii": "two-mux"}
+RASTER_STRATEGIES = tuple(RASTER_MUXES)
+
+
+def raster_muxes(strategy: str, n_sources: int | None = None) -> tuple[str, int]:
+    """Resolve a raster strategy or alias to (name, m).
+
+    Rastering builds an N-to-4 mux from m parallel N/m-to-1 muxes that fire
+    together once per step (m from RASTER_MUXES).  A group takes 4 photons,
+    so it spans 4 // m steps, and a four-step period holds m groups.  The
+    aliases i and ii name one-mux and two-mux.  Raises ValueError for an
+    unknown name and, if n_sources is given, unless m divides n_sources >= 1.
+    """
+    name = RASTER_ALIASES.get(strategy, strategy)
+    if name not in RASTER_MUXES:
+        known = ", ".join([*RASTER_MUXES, *RASTER_ALIASES])
+        raise ValueError(f"unknown raster strategy {strategy!r}; known: {known}")
+    m = RASTER_MUXES[name]
+    if n_sources is not None and (n_sources < 1 or n_sources % m):
+        raise ValueError(f"{name} needs n_sources a positive multiple of {m}")
+    return name, m
 
 
 def raster_rate(strategy: str, n_sources: int, p: float) -> float:
-    """Expected 4-photon groups per raster period (4 source firings).
+    """Expected 4-photon groups per four-step raster period.
 
-    one-mux: a single n-to-1 mux steps over the 4 group positions.
-    two-mux: two n/2-to-1 muxes each step twice; 2 output bins per period.
-    four-mux(-interleaved): four n/4-to-1 muxes fill a group each firing.
-    The aliases i and ii name one-mux and two-mux.
+    Each of the m groups (see `raster_muxes`) needs its four mux firings to
+    succeed, so the rate is m * p_mux_single(n/m, p)**4.
     """
     check_probability(p)
-    strategy = _RASTER_ALIASES.get(strategy, strategy)
-    if strategy == "one-mux":
-        return p_mux_single(n_sources, p) ** 4
-    if strategy == "two-mux":
-        if n_sources % 2:
-            raise ValueError("two-mux needs even n_sources")
-        return 2.0 * p_mux_single(n_sources // 2, p) ** 4
-    if strategy in ("four-mux", "four-mux-interleaved"):
-        if n_sources % 4:
-            raise ValueError("four-mux needs n_sources divisible by 4")
-        return 4.0 * p_mux_single(n_sources // 4, p) ** 4
-    raise ValueError(f"unknown raster strategy {strategy!r}")
+    _, m = raster_muxes(strategy, n_sources)
+    return m * p_mux_single(n_sources // m, p) ** 4
 
 
 def raster_yield(strategy: str, n_sources: int, p: float) -> float:
     """Yield of a rastered generator: 4 x rate / (4 n p) photons out per in."""
-    check_probability(p)
-    if n_sources < 1:
-        raise ValueError("n_sources must be >= 1")
-    if p == 0:
-        return 0.0
-    return raster_rate(strategy, n_sources, p) / (n_sources * p)
+    rate = raster_rate(strategy, n_sources, p)
+    return rate / (n_sources * p) if p > 0 else 0.0
 
 
 def max_raster_yield(strategy: str = "one-mux") -> tuple[float, float]:
@@ -307,7 +314,7 @@ def max_raster_yield(strategy: str = "one-mux") -> tuple[float, float]:
     Uses the large-n limit (Poisson occupation); the maximum is identical
     for every strategy.  Returns (lam*, Y*).
     """
-    muxes = {"one-mux": 1, "two-mux": 2, "four-mux": 4, "four-mux-interleaved": 4}[strategy]
+    _, muxes = raster_muxes(strategy)
     def y(lam: float) -> float:
         return muxes * (-math.expm1(-lam / muxes)) ** 4 / lam
     return golden_section_max(y, 0.1, 50.0)
@@ -315,6 +322,7 @@ def max_raster_yield(strategy: str = "one-mux") -> tuple[float, float]:
 
 def raster_crossover(p: float = 0.05, lo: float = 8.0, hi: float = 1024.0) -> float:
     """Source count where the one-mux raster rate overtakes the four-mux rate."""
+    check_probability(p)
     def gap(n: float) -> float:
         a = -math.expm1(n * math.log1p(-p))
         b = -math.expm1(n / 4.0 * math.log1p(-p))

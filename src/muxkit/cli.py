@@ -446,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("temporal", help="time-multiplexing schemes")
     pt.add_argument("--scheme", required=True, choices=["raster", "debruijn", "gather", "perm"])
-    pt.add_argument("--strategy", default="one-mux", choices=["one-mux", "two-mux", "i", "ii"])
+    pt.add_argument("--strategy", default="one-mux", choices=[*temporal.RASTER_GROUP_STEPS, *analytics.RASTER_ALIASES])
     pt.add_argument("--n-range", default="8:128:8")
     pt.add_argument("--p", type=float, default=0.05)
     pt.add_argument("--p-range", default="0.05:0.25:0.05")

@@ -80,19 +80,18 @@ class _Builder:
         self._next = 0
 
     def new_input(self, count: int = 1) -> list[int]:
-        ports = [self._alloc() for _ in range(count)]
+        ports = self._take(count)
         self.inputs.extend(ports)
         return ports
 
-    def _alloc(self) -> int:
-        p = self._next
-        self._next += 1
-        return p
+    def _take(self, count: int) -> list[int]:
+        """The next `count` port ids, handed out as one block."""
+        ports = list(range(self._next, self._next + count))
+        self._next += count
+        return ports
 
     def add(self, kind: str, in_ports, n_out: int, **params) -> list[int]:
-        if kind not in KINDS:
-            raise ValueError(f"unknown component kind {kind!r}")
-        outs = [self._alloc() for _ in range(n_out)]
+        outs = self._take(n_out)
         self.components.append(
             Component(kind=kind, in_ports=tuple(in_ports), out_ports=tuple(outs), params=params)
         )
@@ -278,30 +277,17 @@ def build_spanke(size: int, m: int, optimized: bool = False) -> Network:
         (src,) = b.new_input(1)
         pads = b.new_input(width - 1)
         fan_outs.append(_add_switch_block(b, [src] + pads))
-    # interleave: output j of fan i feeds collector j
-    flat = [p for outs in fan_outs for p in outs]
-    pos = 0
-    slot = {}
-    for i, outs in enumerate(fan_outs):
-        for j, p in enumerate(outs):
-            slot[(i, j)] = pos
-            pos += 1
-    dest = 0
-    mapping = [0] * len(flat)
-    for j in range(m):
-        for i in range(size):
-            if j < len(fan_outs[i]):
-                mapping[slot[(i, j)]] = dest
-                dest += 1
-    crossed = _add_crossing(b, flat, mapping)
-    # gather collector inputs in crossed order
-    start = 0
-    outputs = []
-    for j in range(m):
-        feeders = sum(1 for i in range(size) if j < len(fan_outs[i]))
-        outputs.append(_add_mux_block(b, crossed[start:start + feeders]))
-        start += feeders
-    return b.finish(outputs)
+    # output j of fan i feeds collector j: the crossing sorts the fan slots by (output, fan)
+    keys = [(j, i) for i, outs in enumerate(fan_outs) for j in range(len(outs))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    mapping = [0] * len(keys)
+    for dest, slot in enumerate(order):
+        mapping[slot] = dest
+    crossed = _add_crossing(b, [p for outs in fan_outs for p in outs], mapping)
+    collectors: list[list[int]] = [[] for _ in range(m)]
+    for slot, port in zip(order, crossed):
+        collectors[keys[slot][0]].append(port)
+    return b.finish([_add_mux_block(b, ports) for ports in collectors])
 
 
 def build_concatenated_gmzi(size: int, m: int) -> Network:

@@ -167,6 +167,8 @@ class DelayNetwork:
     delays: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.delays or min(self.delays) < 0 or max(self.delays) >= self.bins:
+            raise ValueError(f"delays must be a non-empty sequence of values in [0, {self.bins})")
         pos: dict[tuple[int, ...], int] = {}
         for i, w in enumerate(cyclic_windows(self.delays, self.modes)):
             pos.setdefault(w, i)
@@ -211,7 +213,7 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
     word = tuple(align - t for _, t in picked)
     pos = network._positions.get(word)
     if pos is None:
-        raise AssertionError(f"delay word {word} missing from the sequence")
+        raise ValueError(f"delay word {word} missing from the network's delays")
     return DeBruijnRoute(True, schedule, tuple(picked), pos, align)
 
 
@@ -517,40 +519,30 @@ def raster_simulate(
     seed: int,
     steps: int = 96,
 ) -> RasterResult:
-    """Monte-Carlo raster over `steps` source firings (a period is 4 steps).
+    """Monte-Carlo raster over `steps` firings of the strategy's m muxes.
 
-    one-mux: a single n-to-1 mux fires every step; a group is 4 consecutive
-    successes.  two-mux: two n/2-to-1 muxes fire together; a group is 2
-    consecutive both-fire steps.  Without enhancement only period-aligned
-    blocks count; with enhancement a failed step restarts the group at the
-    next step.  Both counts are greedy-disjoint, so enhancement can only add
-    groups for any fixed outcome stream.
+    A step succeeds when all m muxes fire, and a group is 4 // m successful
+    steps in a row (see `analytics.raster_muxes`); a period is 4 steps.
+    Without enhancement only period-aligned blocks count; with enhancement a
+    failed step restarts the group at the next step.  Both counts are
+    greedy-disjoint, so enhancement can only add groups for any fixed
+    outcome stream.
     """
-    strategy = analytics._RASTER_ALIASES.get(strategy, strategy)
-    if strategy not in RASTER_GROUP_STEPS:
-        supported = ", ".join(list(RASTER_GROUP_STEPS) + list(analytics._RASTER_ALIASES))
+    name, m = analytics.raster_muxes(strategy, n_sources)
+    if name not in RASTER_GROUP_STEPS:
+        supported = ", ".join([*RASTER_GROUP_STEPS, *analytics.RASTER_ALIASES])
         raise ValueError(f"cannot simulate raster strategy {strategy!r}; supported: {supported}")
-    run = RASTER_GROUP_STEPS[strategy]
-    if n_sources < 1:
-        raise ValueError("n_sources must be >= 1")
+    run = RASTER_GROUP_STEPS[name]
     if steps < 4 or steps % 4:
         raise ValueError("steps must be a positive multiple of the 4-step period")
-    if strategy == "one-mux":
-        q = analytics.p_mux_single(n_sources, p)
-    else:
-        if n_sources % 2:
-            raise ValueError("two-mux needs even n_sources")
-        q = analytics.p_mux_single(n_sources // 2, p)
-    draws = steps if strategy == "one-mux" else 2 * steps
+    q = analytics.p_mux_single(n_sources // m, p)
     step = np.arange(steps, dtype=np.int32)
 
     def kernel(u: np.ndarray) -> np.ndarray:
         # per trial and step offset mod 4: completed groups
-        if strategy == "one-mux":
-            ok = u < q
-        else:
-            ok = u[:, 0::2] < q
-            np.logical_and(ok, u[:, 1::2] < q, out=ok)
+        ok = u[:, 0::m] < q
+        for i in range(1, m):
+            ok &= u[:, i::m] < q
         if enhanced:
             # steps since the last failure; a greedy group completes at every
             # multiple of `run` (a power of two) along a run of successes
@@ -569,7 +561,7 @@ def raster_simulate(
                 blocks &= ok[:, i::run]
         return np.stack([np.count_nonzero(done[:, o::4], axis=1) for o in range(4)], axis=1)
 
-    by_offset = run_trials(kernel, (draws,), p, trials, seed)
+    by_offset = run_trials(kernel, (m * steps,), p, trials, seed)
     counts = by_offset.sum(axis=1)
     offsets = by_offset.sum(axis=0)
     periods = steps // 4
