@@ -159,7 +159,8 @@ class DelayNetwork:
     """Cyclic shifter feeding delay lines whose values tile a cyclic sequence.
 
     A route witness references a window position w: the photon leaving
-    shifter port q receives delay delays[(w + q) % len(delays)].
+    shifter port q receives delay delays[(w + q) % len(delays)].  The delays
+    must be non-empty and lie in [0, bins).
     """
 
     modes: int
@@ -199,7 +200,8 @@ def debruijn_mux_route(occ: SpaceTimeOccupancy, network: DelayNetwork, tetris: b
     success needs every mode occupied; every shift maps modes one-to-one
     onto ports, so the route uses shift 0.  With tetris the shift may change
     every bin; the route uses the lexicographically first per-bin schedule
-    that puts a photon on every port (see `_tetris_schedule`).
+    that puts a photon on every port (see `_tetris_schedule`).  Raises
+    ValueError if the network's delays lack the word that route needs.
     """
     m, b = occ.modes, occ.bins
     if network.modes != m or network.bins != b:
