@@ -327,7 +327,7 @@ def test_caller_built_delay_networks_are_checked():
     for delays in ((), (0, 5), (-1, 0, 1), (0, 2)):
         with pytest.raises(ValueError, match="delay"):
             temporal.DelayNetwork(2, 2, delays)
-    # a valid bank that lacks a word the route needs: delays (0, 0) hold only word (0, 0)
+    # a valid bank that lacks a word the route needs: (0,) holds only the word (0, 0)
     net = temporal.DelayNetwork(2, 2, (0,))
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
         temporal.debruijn_mux_route(_occ([[1, 0], [0, 1]]), net)
