@@ -66,6 +66,53 @@ def test_binom_tail_matches_fraction_oracle_randomized():
         )
 
 
+def _tail_fraction_dyadic(n: int, p: float, m: int) -> Fraction:
+    # _tail_fraction over one common denominator: exact and fast for p = a / 2^j
+    a, d = Fraction(p).as_integer_ratio()
+    return Fraction(sum(math.comb(n, k) * a ** k * (d - a) ** (n - k) for k in range(m, n + 1)), d ** n)
+
+
+@pytest.mark.parametrize(
+    "n, p, m",
+    [(2000, 0.5, 1001), (2000, 0.5, 1000), (2000, 0.5, 10), (2400, 0.375, 900), (2400, 0.375, 1),
+     (3000, 0.25, 700), (3000, 0.25, 790), (3000, 0.8125, 2440), (3000, 0.8125, 2400), (3000, 0.5, 1500)],
+)
+def test_binom_tail_beyond_float_binomial_coefficients(n, p, m):
+    # math.comb(n, k) overflows a float for these n; the 1 - fsum(head) side keeps its cancellation
+    assert abs(analytics.binom_tail(n, p, m) - float(_tail_fraction_dyadic(n, p, m))) <= 1e-12
+
+
+def test_optimal_group_pmux_beyond_float_binomial_coefficients():
+    # mean 1500, sd 32: the tail at 2000 is below 1e-40
+    assert abs(analytics.optimal_group_pmux(5000, 0.3, 2000)) <= 1e-12
+
+
+def test_closed_forms_reject_bad_input():
+    nan = float("nan")
+    for n in (0, -12, 6):
+        with pytest.raises(ValueError, match="n_sources"):
+            analytics.ghz_improvement_factors(n, 0.05)
+    with pytest.raises(ValueError, match="p > 0"):
+        analytics.ghz_improvement_factors(48, 0.0)
+    for lam in (nan, -1.0, -1e-300):
+        for call in (
+            lambda: analytics.poisson_pmf(lam, 2),
+            lambda: analytics.poisson_tail(lam, 2),
+            lambda: analytics.yield_multi_generator(lam, 4, 1),
+            lambda: analytics.yield_multi_generator(lam, 4, 2, sharing=False),
+        ):
+            with pytest.raises(ValueError, match="lam"):
+                call()
+    for m in (0, 1, 2):
+        with pytest.raises(ValueError, match="n must be"):
+            analytics.binom_tail(-1, 0.5, m)
+    # lam = 0 is an empty bank, as the grid bound reads it at p = 0
+    assert analytics.poisson_pmf(0.0, 0) == 1.0
+    assert analytics.poisson_tail(0.0, 2) == 0.0
+    assert analytics.yield_multi_generator(0.0, 4, 1) == 0.0
+    assert analytics.binom_tail(0, 0.5, 0) == 1.0
+
+
 def test_poisson_approximates_binomial_tail():
     # large N, small p: tails agree to 0.01
     for n in (100, 200, 400):

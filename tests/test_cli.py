@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -203,20 +205,40 @@ def test_unknown_flag_exits_2():
         main([])
 
 
-def test_domain_error_exits_1(capsys):
-    assert main(["gmzi", "--size", "8", "--type", "3,3"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["gmzi", "--size", "8", "--type", "3,3"], "order"),
+        (["gmzi", "--size", "0"], "n_modes"),
+        (["analyze", "--curve", "raster", "--n-range", "0:8:8", "--p", "0.1"], "n_sources"),
+        (["analyze", "--curve", "crossover", "--p", "nan"], "probability"),
+        (["analyze", "--curve", "ghz", "--n", "0"], "n_sources"),
+        (["analyze", "--curve", "ghz", "--p", "0"], "p > 0"),
+        (["analyze", "--curve", "yield", "--lam-range", "nan"], "lam"),
+        (["analyze", "--curve", "yield", "--lam-range", "-1"], "lam"),
+        (["temporal", "--scheme", "debruijn", "--modes", "12", "--bins", "2", "--tetris", "--p-range", "0.2"], "modes"),
+        (["gridmux", "--p-range", "0.1", "--trials", "10", "--column-group-type=-4,-4"], "factor"),
+        (["gridmux", "--p-range", "0.1", "--trials", "10", "--column-group-type=-1,-16"], "factor"),
+        (["gridmux", "--trials", "1"], "trials"),
+        (["search", "--circuit", "binning", "--n", "0"], "n must be"),
+        (["net", "--topology", "spanke", "--size", "0", "--m", "1"], "size"),
+    ],
+)
+def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and fragment in captured.err
+    assert "Traceback" not in captured.err
 
 
-def test_raster_curve_from_zero_sources_is_a_clean_error(capsys):
-    for argv in (
-        ["analyze", "--curve", "raster", "--n-range", "0:8:8", "--p", "0.1"],
-        ["analyze", "--curve", "crossover", "--p", "nan"],
-    ):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+def test_group_curve_beyond_float_binomial_coefficients(capsys):
+    # math.comb(2000, k) overflows a float near k = 1000; P[Bin(2000, 1/2) >= 1001] = (1 - C(2000, 1000) / 2^2000) / 2
+    assert main(["analyze", "--curve", "group", "--n-range", "2000:2000:1", "--p", "0.5", "--m", "1001"]) == 0
+    exact = (1 - Fraction(math.comb(2000, 1000), 2 ** 2000)) / 2
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == "n_sources,p,m,naive,optimal"
+    assert row.split(",")[-1] == f"{float(exact):.12g}"
 
 
 def test_missing_config_file_is_a_clean_error(tmp_path, capsys):

@@ -243,6 +243,16 @@ def test_route_outcomes_are_frozen(group_type):
     assert _route_digest(gridmux.default_config(), group_type) == ROUTE_DIGESTS[group_type]
 
 
+def test_column_group_factors_must_be_positive():
+    # (-4, -4) and (-1, -16) multiply to the column size but name no cyclic group
+    cfg = gridmux.default_config()
+    for group_type in ((-4, -4), (-1, -16)):
+        with pytest.raises(ValueError, match="factor"):
+            gridmux.route(cfg, cfg.grid, group_type)
+        with pytest.raises(ValueError, match="factor"):
+            gridmux.simulate_grid_yield(cfg, 0.1, trials=4, seed=0, column_group_type=group_type)
+
+
 def test_simulate_yield_rejects_bad_p():
     cfg = gridmux.default_config()
     for p in (-1.0, -1e-12, 1.5, float("nan")):

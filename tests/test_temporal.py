@@ -220,8 +220,9 @@ def test_tetris_probability_exact_and_banded():
     assert got == TETRIS_4X4_QUARTER
     assert abs(float(got) - 0.56) <= 0.03
     assert float(got) > temporal.non_tetris_success_probability(4, 4, 0.25)
-    with pytest.raises(ValueError):
-        temporal.tetris_success_probability(5, 5, 0.25)
+    for modes, bins in ((5, 5), (8, 3), (12, 2), (17, 1)):  # past the walk's one-second windows
+        with pytest.raises(ValueError):
+            temporal.tetris_success_probability(modes, bins, 0.25)
 
 
 def test_tetris_dominates_non_tetris_pathwise():
