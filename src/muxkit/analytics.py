@@ -57,6 +57,11 @@ def check_probability(p: float) -> None:
         raise ValueError("probability out of [0, 1]")
 
 
+def _binom_pmf(n: int, p: float, k: int) -> float:
+    """P[Binomial(n, p) = k]."""
+    return math.comb(n, k) * p ** k * (1.0 - p) ** (n - k)
+
+
 def binom_tail(n: int, p: float, m: int) -> float:
     """P[Binomial(n, p) >= m], summed from the smaller tail with fsum."""
     check_probability(p)
@@ -64,12 +69,9 @@ def binom_tail(n: int, p: float, m: int) -> float:
         return 1.0
     if m > n:
         return 0.0
-    q = 1.0 - p
-    def term(k: int) -> float:
-        return math.comb(n, k) * p ** k * q ** (n - k)
     if m <= n - m + 1:
-        return 1.0 - math.fsum(term(k) for k in range(m))
-    return math.fsum(term(k) for k in range(m, n + 1))
+        return 1.0 - math.fsum(_binom_pmf(n, p, k) for k in range(m))
+    return math.fsum(_binom_pmf(n, p, k) for k in range(m, n + 1))
 
 
 def poisson_pmf(lam: float, k: int) -> float:
@@ -213,12 +215,7 @@ def p4_blocking(n_sources: int, p: float) -> float:
     if n_sources % 2 or n_sources < 8:
         raise ValueError("need an even n_sources >= 8")
     check_probability(p)
-    pairs = n_sources // 2
-    q_pair = 1.0 - (1.0 - p) ** 2
-    return 1.0 - math.fsum(
-        math.comb(pairs, k) * q_pair ** k * (1.0 - p) ** (n_sources - 2 * k)
-        for k in range(4)
-    )
+    return binom_tail(n_sources // 2, 1.0 - (1.0 - p) ** 2, 4)
 
 
 def p4_with_premux(n_sources: int, p: float, n_mux: int) -> float:
@@ -324,9 +321,7 @@ def raster_crossover(p: float = 0.05, lo: float = 8.0, hi: float = 1024.0) -> fl
     """Source count where the one-mux raster rate overtakes the four-mux rate."""
     check_probability(p)
     def gap(n: float) -> float:
-        a = -math.expm1(n * math.log1p(-p))
-        b = -math.expm1(n / 4.0 * math.log1p(-p))
-        return a ** 4 - 4.0 * b ** 4
+        return p_mux_single(n, p) ** 4 - 4.0 * p_mux_single(n / 4.0, p) ** 4
     if gap(lo) <= 0 or gap(hi) >= 0:
         raise ValueError("no crossover bracketed")
     for _ in range(200):
@@ -358,7 +353,7 @@ def ghz_improvement_factors(n_sources: int = 48, p: float = 0.05) -> dict[str, f
     fold = 0.0
     for j in range(6, 13):
         frac = patterns.subpattern_coverage(12, j, routable)
-        fold += math.comb(12, j) * q ** j * (1.0 - q) ** (12 - j) * float(frac)
+        fold += _binom_pmf(12, q, j) * float(frac)
     return {
         "mzi-layer": fold / baseline,
         "optimal": optimal_group_pmux(n_sources, p, 6) / baseline,

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import astuple
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -91,69 +92,65 @@ def _parse_ints(spec: str) -> tuple[int, ...]:
 # analyze
 
 
+def _n_grid(args) -> list[int]:
+    return _parse_range(args.n_range, integer=True)
+
+
+# curve -> (CSV header, rows from the parsed arguments), in --curve's order
+_CURVES = {
+    "pmux": (
+        ["n_sources", "p", "p_mux"],
+        lambda a: [[n, a.p, analytics.p_mux_single(n, a.p)] for n in _n_grid(a)],
+    ),
+    "group": (
+        ["n_sources", "p", "m", "naive", "optimal"],
+        lambda a: [
+            [n, a.p, a.m, analytics.naive_group_pmux(n, a.p, a.m), analytics.optimal_group_pmux(n, a.p, a.m)]
+            for n in _n_grid(a)
+        ],
+    ),
+    "sources-ratio": (
+        ["p", "target", "m", "n_naive", "n_optimal", "ratio"],
+        lambda a: [[a.p, a.target, a.m, *analytics.required_sources_ratio(a.p, a.target, a.m)]],
+    ),
+    "yield": (
+        ["lam", "m", "g", "sharing", "yield"],
+        lambda a: [
+            [lam, a.m, a.g, int(a.sharing), analytics.yield_multi_generator(lam, a.m, a.g, a.sharing)]
+            for lam in _parse_range(a.lam_range)
+        ],
+    ),
+    "yield-max": (
+        ["m", "g", "sharing", "lam_star", "yield_max"],
+        lambda a: [[a.m, a.g, int(a.sharing), *analytics.max_yield(a.m, a.g, sharing=a.sharing)]],
+    ),
+    "footprint": (
+        ["n_sources", "p", "yield", "p_group", "p_out", "copies", "sources", "sources_approx"],
+        lambda a: [[
+            a.n, a.p, a.yield_, a.p_group, a.p_out,
+            *astuple(analytics.footprint(a.n, a.p, a.yield_, a.p_group, a.p_out)),
+        ]],
+    ),
+    "raster": (
+        ["n_sources", "p", *(s.replace("-", "_") for s in analytics.RASTER_STRATEGIES)],
+        lambda a: [
+            [n, a.p, *(analytics.raster_yield(s, n, a.p) for s in analytics.RASTER_STRATEGIES)]
+            for n in _n_grid(a)
+        ],
+    ),
+    "crossover": (["p", "crossover_sources"], lambda a: [[a.p, analytics.raster_crossover(a.p)]]),
+    "ghz": (
+        ["n_sources", "p", "scheme", "factor"],
+        lambda a: [[a.n, a.p, k, v] for k, v in sorted(analytics.ghz_improvement_factors(a.n, a.p).items())],
+    ),
+    "bsg": (["n_modes", "p_success"], lambda a: [[n, analytics.p_bsg(n)] for n in _n_grid(a)]),
+    "reduction": (["reduction_factor"], lambda a: [[analytics.enlarged_gmzi_mux_reduction()]]),
+}
+
+
 def _cmd_analyze(args) -> int:
-    curve = args.curve
-    if curve == "pmux":
-        rows = [
-            [n, args.p, analytics.p_mux_single(n, args.p)]
-            for n in _parse_range(args.n_range, integer=True)
-        ]
-        _emit_csv(args, ["n_sources", "p", "p_mux"], rows)
-    elif curve == "group":
-        rows = []
-        for n in _parse_range(args.n_range, integer=True):
-            rows.append(
-                [
-                    n,
-                    args.p,
-                    args.m,
-                    analytics.naive_group_pmux(n, args.p, args.m),
-                    analytics.optimal_group_pmux(n, args.p, args.m),
-                ]
-            )
-        _emit_csv(args, ["n_sources", "p", "m", "naive", "optimal"], rows)
-    elif curve == "sources-ratio":
-        n_naive, n_opt, ratio = analytics.required_sources_ratio(args.p, args.target, args.m)
-        rows = [[args.p, args.target, args.m, n_naive, n_opt, ratio]]
-        _emit_csv(args, ["p", "target", "m", "n_naive", "n_optimal", "ratio"], rows)
-    elif curve == "yield":
-        rows = [
-            [lam, args.m, args.g, int(args.sharing), analytics.yield_multi_generator(lam, args.m, args.g, args.sharing)]
-            for lam in _parse_range(args.lam_range)
-        ]
-        _emit_csv(args, ["lam", "m", "g", "sharing", "yield"], rows)
-    elif curve == "yield-max":
-        lam, y = analytics.max_yield(args.m, args.g, sharing=args.sharing)
-        rows = [[args.m, args.g, int(args.sharing), lam, y]]
-        _emit_csv(args, ["m", "g", "sharing", "lam_star", "yield_max"], rows)
-    elif curve == "footprint":
-        fp = analytics.footprint(args.n, args.p, args.yield_, args.p_group, args.p_out)
-        rows = [[args.n, args.p, args.yield_, args.p_group, args.p_out, fp.copies, fp.sources, fp.sources_approx]]
-        _emit_csv(args, ["n_sources", "p", "yield", "p_group", "p_out", "copies", "sources", "sources_approx"], rows)
-    elif curve == "raster":
-        rows = []
-        for n in _parse_range(args.n_range, integer=True):
-            row = [n, args.p]
-            for strategy in analytics.RASTER_STRATEGIES:
-                row.append(analytics.raster_yield(strategy, n, args.p))
-            rows.append(row)
-        header = ["n_sources", "p"] + [s.replace("-", "_") for s in analytics.RASTER_STRATEGIES]
-        _emit_csv(args, header, rows)
-    elif curve == "crossover":
-        x = analytics.raster_crossover(args.p)
-        _emit_csv(args, ["p", "crossover_sources"], [[args.p, x]])
-    elif curve == "ghz":
-        factors = analytics.ghz_improvement_factors(args.n, args.p)
-        rows = [[args.n, args.p, k, v] for k, v in sorted(factors.items())]
-        _emit_csv(args, ["n_sources", "p", "scheme", "factor"], rows)
-    elif curve == "bsg":
-        rows = [[n, analytics.p_bsg(n)] for n in _parse_range(args.n_range, integer=True)]
-        _emit_csv(args, ["n_modes", "p_success"], rows)
-    elif curve == "reduction":
-        f = analytics.enlarged_gmzi_mux_reduction()
-        _emit_csv(args, ["reduction_factor"], [[f]])
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown curve {curve!r}")
+    header, rows = _CURVES[args.curve]
+    _emit_csv(args, header, rows(args))
     return 0
 
 
@@ -406,14 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="closed-form curves and optima")
-    pa.add_argument(
-        "--curve",
-        required=True,
-        choices=[
-            "pmux", "group", "sources-ratio", "yield", "yield-max",
-            "footprint", "raster", "crossover", "ghz", "bsg", "reduction",
-        ],
-    )
+    pa.add_argument("--curve", required=True, choices=list(_CURVES))
     pa.add_argument("--n", type=int, default=48)
     pa.add_argument("--n-range", default="8:128:8")
     pa.add_argument("--p", type=float, default=0.05)
