@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics, gmzi, gridmux, logic, patterns, temporal
 from .linalg import equal_up_to_global_phase, perm_matrix
-from .simkit import estimate, sample_occupancy, substream
+from .simkit import estimate, sample_occupancy
 
 __all__ = ["CheckResult", "run_all", "reproducibility_probe", "CHECKS"]
 

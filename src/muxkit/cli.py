@@ -183,8 +183,6 @@ def _cmd_search(args) -> int:
         print(f"all-distinct-bin probability at n={args.n}: {frac} = {float(frac)}")
         rows = [[args.n, str(frac), float(frac)]]
         header = ["n", "fraction", "value"]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown circuit {args.circuit!r}")
     if args.csv:  # without --csv the report above is the output
         _emit_csv(args, header, rows)
     return 0
@@ -274,8 +272,6 @@ def _cmd_temporal(args) -> int:
             rows.append([i, sched.targets[r], sched.first_shifts[i], port, t])
         header = ["input_bin", "target_slot", "delay_line", "output_port", "output_bin"]
         _emit_csv(args, header, rows)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scheme {args.scheme!r}")
     return 0
 
 
@@ -339,8 +335,6 @@ def _cmd_logic(args) -> int:
             idx = logic.priority_encode(bits)
             lines.append("".join("1" if b else "0" for b in bits) + "," + ("none" if idx is None else str(idx)))
         text = "\n".join(lines) + "\n"
-    else:  # pragma: no cover
-        raise ValueError(f"unknown table {args.table!r}")
     _emit(args, text)
     return 0
 

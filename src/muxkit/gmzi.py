@@ -20,13 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     canonical_angle,
     cyclic_perm,
     dft_matrix,
     is_complex_hadamard,
     kron_all,
-    matrix_to_mapping,
     perm_matrix,
     phases_to_diag,
 )

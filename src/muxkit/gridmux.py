@@ -9,7 +9,6 @@ are grouped, and a group succeeds when all of its rows receive a photon.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -181,6 +180,8 @@ def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
         f = factors if factors is not None else _default_factors(size)
         if math.prod(f) != size:
             raise ValueError("column group order must equal column size")
+        if min(f, default=1) < 1:
+            raise ValueError(f"column group factors must be >= 1, got {f}")
         col_digits, table = _shift_table(f)
         rows = np.array(config.column_rows(c), dtype=np.int64)
         digits.append(col_digits)

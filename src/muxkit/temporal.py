@@ -300,12 +300,14 @@ def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fr
     cover.  Each bin takes every mode mask x, weighted p^|x| (1-p)^(m-|x|),
     and moves the state one `_reach_step`; the result is the weight of the
     states holding the full mask.  A float p becomes the nearest fraction
-    with denominator <= 10^9.
+    with denominator <= 10^9.  Raises ValueError past modes * bins = 24, or
+    16 above seven modes: the walk finishes those windows in about a second,
+    and (8, 3) or (12, 2) would take seconds to a minute.
     """
     _check_window_args(modes, bins, p)
     m, b = modes, bins
-    if m * b > 24:
-        raise ValueError("per-bin-shift probability limited to modes * bins <= 24")
+    if m * b > (24 if m <= 7 else 16):
+        raise ValueError("per-bin-shift probability limited to modes * bins <= 24, or <= 16 above 7 modes")
     p = Fraction(p).limit_denominator(10 ** 9) if not isinstance(p, Fraction) else p
     weight = [p ** k * (1 - p) ** (m - k) for k in range(m + 1)]  # by photon count
     states = {frozenset({0}): Fraction(1)}

@@ -262,9 +262,9 @@ def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
 )
 def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):
     assert main(argv + ["--trials", "10"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
