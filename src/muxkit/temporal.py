@@ -300,9 +300,10 @@ def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fr
     cover.  Each bin takes every mode mask x, weighted p^|x| (1-p)^(m-|x|),
     and moves the state one `_reach_step`; the result is the weight of the
     states holding the full mask.  A float p becomes the nearest fraction
-    with denominator <= 10^9.  Raises ValueError past modes * bins = 24, or
-    16 above seven modes: the walk finishes those windows in about a second,
-    and (8, 3) or (12, 2) would take seconds to a minute.
+    with denominator <= 10^9.  Windows are limited to modes * bins <= 24,
+    and <= 16 above seven modes, which the walk finishes in about a second
+    ((8, 3) would take 3 s and (12, 2) a minute); larger ones raise
+    ValueError.
     """
     _check_window_args(modes, bins, p)
     m, b = modes, bins
