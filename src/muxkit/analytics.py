@@ -58,18 +58,14 @@ def check_probability(p: float) -> None:
 
 
 def _binom_pmf(n: int, p: float, k: int) -> float:
-    """P[Binomial(n, p) = k].
-
-    Where C(n, k) does not fit a float, the term is the exp of a log sum
-    that takes the log of the exact integer C(n, k); lgamma's rounding near
-    n = 3000 costs about 2e-12 on a tail, this about 1e-13.
-    """
+    """P[Binomial(n, p) = k]."""
     c = math.comb(n, k)
     try:
         return c * p ** k * (1.0 - p) ** (n - k)
-    except OverflowError:
+    except OverflowError:  # C(n, k) does not fit a float, so 0 < k < n
         if not 0.0 < p < 1.0:
-            return 0.0  # the overflow puts k strictly inside (0, n)
+            return 0.0
+        # log of the exact integer: lgamma's rounding would cost ~2e-12 on a tail at n = 3000
         return math.exp(math.log(c) + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
@@ -88,8 +84,8 @@ def binom_tail(n: int, p: float, m: int) -> float:
 
 
 def _check_lam(lam: float) -> None:
-    if not lam >= 0.0:
-        raise ValueError("lam must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 0")
 
 
 def poisson_pmf(lam: float, k: int) -> float:

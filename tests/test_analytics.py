@@ -66,20 +66,13 @@ def test_binom_tail_matches_fraction_oracle_randomized():
         )
 
 
-def _tail_fraction_dyadic(n: int, p: float, m: int) -> Fraction:
-    # _tail_fraction over one common denominator: exact and fast for p = a / 2^j
-    a, d = Fraction(p).as_integer_ratio()
-    return Fraction(sum(math.comb(n, k) * a ** k * (d - a) ** (n - k) for k in range(m, n + 1)), d ** n)
-
-
 @pytest.mark.parametrize(
     "n, p, m",
-    [(2000, 0.5, 1001), (2000, 0.5, 1000), (2000, 0.5, 10), (2400, 0.375, 900), (2400, 0.375, 1),
-     (3000, 0.25, 700), (3000, 0.25, 790), (3000, 0.8125, 2440), (3000, 0.8125, 2400), (3000, 0.5, 1500)],
+    [(2000, 0.5, 1001), (2000, 0.5, 1000), (2400, 0.375, 900), (3000, 0.8125, 2400), (3000, 0.5, 1500)],
 )
 def test_binom_tail_beyond_float_binomial_coefficients(n, p, m):
     # math.comb(n, k) overflows a float for these n; the 1 - fsum(head) side keeps its cancellation
-    assert abs(analytics.binom_tail(n, p, m) - float(_tail_fraction_dyadic(n, p, m))) <= 1e-12
+    assert abs(analytics.binom_tail(n, p, m) - float(_tail_fraction(n, Fraction(p), m))) <= 1e-12
 
 
 def test_optimal_group_pmux_beyond_float_binomial_coefficients():
@@ -94,7 +87,7 @@ def test_closed_forms_reject_bad_input():
             analytics.ghz_improvement_factors(n, 0.05)
     with pytest.raises(ValueError, match="p > 0"):
         analytics.ghz_improvement_factors(48, 0.0)
-    for lam in (nan, -1.0, -1e-300):
+    for lam in (nan, -1.0, -1e-300, math.inf):
         for call in (
             lambda: analytics.poisson_pmf(lam, 2),
             lambda: analytics.poisson_tail(lam, 2),
