@@ -222,6 +222,7 @@ def test_unknown_flag_exits_2():
         (["gridmux", "--trials", "1"], "trials"),
         (["search", "--circuit", "binning", "--n", "0"], "n must be"),
         (["net", "--topology", "spanke", "--size", "0", "--m", "1"], "size"),
+        (["gmzi", "--size", "1000000"], "angle table"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):

@@ -1,6 +1,7 @@
 """Switch-network builders: frozen cost anchors and closed-form sweeps."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -319,12 +320,21 @@ def _tampered(net, index, **changes):
     return json.dumps(doc)
 
 
+def _edited(net, edit):
+    doc = json.loads(networks.network_to_json(net))
+    edit(doc)
+    return json.dumps(doc)
+
+
 def test_validate_rejects_malformed_components():
     net = networks.build_log_tree(4, 4)
     kinds = [c.kind for c in net.components]
-    cross = kinds.index("crossing")
+    cross, coupler, active = kinds.index("crossing"), kinds.index("coupler"), kinds.index("active-phase")
     doc = json.loads(networks.network_to_json(net))
     good = doc["components"][cross]["params"]["mapping"]
+    ins = doc["components"][coupler]["in_ports"]
+    delayed = networks.build_delay_network(4, 2)
+    delay = [c.kind for c in delayed.components].index("delay")
     bad_docs = [
         _tampered(net, 0, kind="teleporter"),
         _tampered(net, cross, params={"crossings": 1}),
@@ -333,6 +343,22 @@ def test_validate_rejects_malformed_components():
         _tampered(net, cross, params={"mapping": [m + 1 for m in good], "crossings": 1}),
         _tampered(net, cross, params={"mapping": ["a"] + good[1:], "crossings": 1}),
         _tampered(net, cross, params=[good]),
+        # arities the traversal gives no meaning
+        _tampered(net, active, in_ports=[]),
+        _tampered(net, coupler, in_ports=[]),
+        _edited(net, lambda d: d.update(output_ports=[])),
+        _tampered(delayed, delay, params={"duration": [1]}),
+        # port ids that are not ints in [0, n_ports)
+        _tampered(net, coupler, in_ports=[float(ins[0])] + ins[1:]),
+        _tampered(net, coupler, in_ports=[True] + ins[1:]),
+        _edited(net, lambda d: d.update(n_ports=3)),
+        # payloads of the wrong shape
+        "[]",
+        "{}",
+        _edited(net, lambda d: d["components"][0].pop("kind")),
+        _tampered(net, coupler, in_ports=5),
+        _edited(net, lambda d: d.update(input_ports=7)),
+        _tampered(net, coupler, in_ports=[[ins[0]]] + ins[1:]),
     ]
     for text in bad_docs:
         with pytest.raises(ValueError):
@@ -343,3 +369,122 @@ def test_validate_rejects_malformed_components():
     comps[cross] = networks.Component("crossing", comps[cross].in_ports, comps[cross].out_ports, {})
     with pytest.raises(ValueError):
         networks.metrics(dataclasses.replace(net, components=tuple(comps)))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the set walk and the dict walk
+
+def _validate_oracle(net) -> None:
+    produced = set(net.input_ports)
+    if len(produced) != len(net.input_ports):
+        raise ValueError("duplicate input ports")
+    consumed = set()
+    for comp in net.components:
+        if comp.kind not in networks.KINDS:
+            raise ValueError(f"unknown component kind {comp.kind!r}")
+        if not isinstance(comp.params, dict):
+            raise ValueError("component params must be a mapping")
+        if comp.kind == "crossing":
+            n = len(comp.in_ports)
+            try:
+                ok = len(comp.out_ports) == n and sorted(comp.params.get("mapping")) == list(range(n))
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError("crossing mapping is not a permutation of its ports")
+        for p in comp.in_ports:
+            if p not in produced:
+                raise ValueError(f"component consumes unproduced port {p}")
+            if p in consumed:
+                raise ValueError(f"port {p} consumed twice")
+            consumed.add(p)
+        for p in comp.out_ports:
+            if p in produced:
+                raise ValueError(f"port {p} produced twice")
+            produced.add(p)
+    for p in net.output_ports:
+        if p not in produced or p in consumed:
+            raise ValueError(f"output port {p} is not an open produced port")
+
+
+def _metrics_oracle(net) -> networks.CostMetrics:
+    _validate_oracle(net)
+    lo = {p: 0 for p in net.input_ports}
+    hi = {p: 0 for p in net.input_ports}
+    n_active = n_couplers = n_crossings = crossing_count = 0
+    delays = []
+    for comp in net.components:
+        if comp.kind == "active-phase":
+            n_active += len(comp.in_ports)
+        elif comp.kind == "coupler":
+            n_couplers += 1
+        elif comp.kind == "crossing":
+            n_crossings += 1
+            crossing_count += int(comp.params.get("crossings", 0))
+        elif comp.kind == "delay":
+            delays.append(float(comp.params.get("duration", 0.0)))
+        bump = 1 if comp.kind == "active-phase" else 0
+        if not comp.out_ports:
+            continue
+        if comp.kind == "crossing":
+            mapping = comp.params["mapping"]
+            for i, p in enumerate(comp.in_ports):
+                q = comp.out_ports[mapping[i]]
+                lo[q] = lo[p]
+                hi[q] = hi[p]
+        elif comp.kind in ("delay", "active-phase", "passive-phase"):
+            for p, q in zip(comp.in_ports, comp.out_ports):
+                lo[q] = lo[p] + bump
+                hi[q] = hi[p] + bump
+        else:
+            block_lo = min(lo[p] for p in comp.in_ports)
+            block_hi = max(hi[p] for p in comp.in_ports)
+            for q in comp.out_ports:
+                lo[q] = block_lo
+                hi[q] = block_hi
+    return networks.CostMetrics(
+        n_active=n_active,
+        depth_min=min(lo[p] for p in net.output_ports),
+        depth_max=max(hi[p] for p in net.output_ports),
+        n_couplers=n_couplers,
+        n_crossings=n_crossings,
+        crossing_count=crossing_count,
+        delays=tuple(sorted(delays)),
+        n_inputs=len(net.input_ports),
+        n_outputs=len(net.output_ports),
+    )
+
+
+def _builder_cases():
+    """Every builder at sizes 1..22 with n (or m) from 2 to 4, spanke plain and optimized."""
+    for name, build in sorted(networks.BUILDERS.items()):
+        for size in range(1, 23):
+            for k in (2, 3, 4):
+                for extra in ((False,), (True,)) if name == "spanke" else ((),):
+                    try:
+                        yield build(size, k, *extra)
+                    except ValueError:
+                        continue
+
+
+def test_builders_agree_with_the_reference_walks():
+    for net in _builder_cases():
+        networks.validate(net)
+        _validate_oracle(net)
+        assert networks.metrics(net) == _metrics_oracle(net), (net.name, net.params)
+        assert networks.network_to_json(net) == _network_json_oracle(net), (net.name, net.params)
+
+
+@pytest.mark.parametrize(
+    "optimized, digest",
+    [
+        (False, "29f3cb99147af47dfe055d6de5bcfe241865ec08ff77da54211a94b6b733b2c5"),
+        (True, "3b95f96e10c3067f86e244b5940ef07ed406e2a22269c34a3a555cc7f9bfd992"),
+    ],
+)
+def test_spanke_64x16_json_is_pinned(optimized, digest):
+    net = networks.build_spanke(64, 16, optimized=optimized)
+    assert networks.metrics(net) == _metrics_oracle(net)
+    text = networks.network_to_json(net)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert networks.network_to_json(networks.network_from_json(text)) == text
