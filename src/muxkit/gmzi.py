@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 
+_MAX_TABLE_MODES = 4096  # all_setting_angles holds N x N float64 tables (128 MiB each at 4,096)
+
+
 # ---------------------------------------------------------------------------
 # classification of device types
 
@@ -257,7 +260,13 @@ def setting_angles(dev: GmziDevice, k) -> np.ndarray:
 
 
 def all_setting_angles(dev: GmziDevice) -> np.ndarray:
-    """(N_settings x N_modes) matrix of target angles."""
+    """(N_settings x N_modes) matrix of target angles.
+
+    Raises ValueError above _MAX_TABLE_MODES modes: the table is N^2
+    float64s, 128 MiB at N = 4,096, and building it holds a few such arrays.
+    """
+    if dev.n_modes > _MAX_TABLE_MODES:
+        raise ValueError(f"an angle table for {dev.n_modes} modes needs n_modes <= {_MAX_TABLE_MODES}")
     return _angles(dev.factors, _mixed_radix(dev.factors)[0])
 
 

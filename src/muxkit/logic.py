@@ -8,7 +8,9 @@ wildcarded, cutting the table to C(B, n) rows.
 A table compiles each pattern once to a pair of integer masks (care,
 value): bit i of care is set where port i is not a wildcard, bit i of value
 where it must be 1.  An input packed into an integer x, port i in bit i,
-matches a row exactly when x & care == value, at any width.
+matches a row exactly when x & care == value, at any width.  Rows are
+grouped by care mask and then by value, so a lookup costs one dict probe per
+distinct care mask rather than one test per row.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ class TruthTable:
     default_outputs: tuple[int, ...]
 
     def __post_init__(self):
-        masks = []
-        for pattern, _ in self.rows:
+        groups: dict[int, dict[int, list[int]]] = {}
+        for i, (pattern, _) in enumerate(self.rows):
             if len(pattern) != self.width or set(pattern) - {"0", "1", "*"}:
                 raise ValueError(f"bad pattern {pattern!r}")
             rev = pattern[::-1]  # port i in bit i
             care = int("0" + rev.replace("0", "1").replace("*", "0"), 2)
-            masks.append((care, int("0" + rev.replace("*", "0"), 2)))
-        object.__setattr__(self, "_masks", tuple(masks))  # (care, value) per row; not a field
+            groups.setdefault(care, {}).setdefault(int("0" + rev.replace("*", "0"), 2), []).append(i)
+        object.__setattr__(self, "_groups", groups)  # {care: {value: rows}}; not a field
 
     def matches(self, pattern: str, bits: Sequence[bool]) -> bool:
         if not len(pattern) == len(bits) == self.width:
@@ -58,11 +60,11 @@ class TruthTable:
         return all(c == "*" or bool(int(c)) == bool(b) for c, b in zip(pattern, bits))
 
     def match_rows(self, bits: Sequence[bool]) -> list[int]:
-        """Indices of all rows matching the input (conflict checks)."""
+        """Indices of all rows matching the input (conflict checks), ascending."""
         if len(bits) != self.width:
             raise ValueError(f"input has {len(bits)} bits, table width is {self.width}")
         x = sum(1 << i for i, b in enumerate(bits) if b)
-        return [i for i, (care, value) in enumerate(self._masks) if x & care == value]
+        return sorted(i for care, by_value in self._groups.items() for i in by_value.get(x & care, ()))
 
     def match_counts(self) -> np.ndarray:
         """Number of matching rows for every input x = 0 .. 2^width - 1, port i in bit i of x."""
@@ -70,8 +72,10 @@ class TruthTable:
             raise ValueError(f"a sweep of all inputs needs width <= {_MAX_SWEEP_WIDTH}")
         xs = np.arange(1 << self.width, dtype=np.int64)
         counts = np.zeros(len(xs), dtype=np.int64)
-        for care, value in self._masks:
-            counts += (xs & care) == value
+        for care, by_value in self._groups.items():
+            masked = xs & care
+            for value, rows in by_value.items():
+                counts += len(rows) * (masked == value)
         return counts
 
     def lookup(self, bits: Sequence[bool]) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -71,13 +72,19 @@ class CostMetrics:
 
 
 class _Builder:
+    """A network under construction, held as columns until `finish`."""
+
     def __init__(self, name: str, **params):
         self.name = name
         self.params = params
-        self.components: list[Component] = []
+        self.shapes: list[tuple[str, int, int]] = []  # (kind, in count, out count) per component
+        self.comp_params: list[dict] = []
+        self.in_ports: list[int] = []  # flat, component after component
+        self.out_ports: list[int] = []
         self.inputs: list[int] = []
         self.drops: list[int] = []
         self._next = 0
+        self._blocks: dict[int, tuple[_Builder, list[int]]] = {}  # switch-block templates by size
 
     def new_input(self, count: int = 1) -> list[int]:
         ports = self._take(count)
@@ -92,9 +99,10 @@ class _Builder:
 
     def add(self, kind: str, in_ports, n_out: int, **params) -> list[int]:
         outs = self._take(n_out)
-        self.components.append(
-            Component(kind=kind, in_ports=tuple(in_ports), out_ports=tuple(outs), params=params)
-        )
+        self.shapes.append((kind, len(in_ports), n_out))
+        self.comp_params.append(params)
+        self.in_ports += in_ports
+        self.out_ports += outs
         return outs
 
     def drop(self, ports) -> None:
@@ -103,9 +111,13 @@ class _Builder:
             self.drops.append(p)
 
     def finish(self, output_ports) -> Network:
+        ins, outs = iter(self.in_ports), iter(self.out_ports)
         return Network(
             name=self.name,
-            components=tuple(self.components),
+            components=tuple(
+                Component(kind, tuple(islice(ins, n_in)), tuple(islice(outs, n_out)), params)
+                for (kind, n_in, n_out), params in zip(self.shapes, self.comp_params)
+            ),
             input_ports=tuple(self.inputs),
             output_ports=tuple(output_ports),
             drop_ports=tuple(self.drops),
@@ -146,7 +158,7 @@ def _add_passive(b: _Builder, ports, factors) -> list[int]:
     return list(ports)
 
 
-def _add_switch_block(b: _Builder, in_ports) -> list[int]:
+def _expand_switch_block(b: _Builder, in_ports) -> list[int]:
     """Expand an n-mode switch block: passive, active layer, passive."""
     n = len(in_ports)
     if n == 1:
@@ -156,6 +168,28 @@ def _add_switch_block(b: _Builder, in_ports) -> list[int]:
     ports = [b.add("active-phase", [p], 1)[0] for p in ports]
     ports = _add_passive(b, ports, factors)
     return ports
+
+
+def _add_switch_block(b: _Builder, in_ports) -> list[int]:
+    """Stamp the n-mode switch block onto in_ports.
+
+    Each block size is expanded once per builder, on template ports 0..n-1
+    for its inputs and n.. for its own.  Stamping maps template port r to
+    ports[r], which hands out the same fresh ids, in the same order, as
+    expanding the block again would.  Every stamped component gets its own
+    params dict and crossing mapping list.
+    """
+    n = len(in_ports)
+    if n not in b._blocks:
+        t = _Builder("switch-block")
+        b._blocks[n] = (t, _expand_switch_block(t, t.new_input(n)))
+    t, t_outs = b._blocks[n]
+    ports = list(in_ports) + b._take(t._next - n)
+    b.shapes += t.shapes
+    b.in_ports += map(ports.__getitem__, t.in_ports)
+    b.out_ports += map(ports.__getitem__, t.out_ports)
+    b.comp_params += [{k: v.copy() if type(v) is list else v for k, v in p.items()} for p in t.comp_params]
+    return [ports[r] for r in t_outs]
 
 
 def _add_mux_block(b: _Builder, in_ports) -> int:
@@ -322,92 +356,133 @@ BUILDERS = {
 # ---------------------------------------------------------------------------
 # traversal metrics and validation
 
-def validate(net: Network) -> None:
-    """Check the port graph and its components.
-
-    Every port is produced once and consumed at most once, every component
-    has a known kind, and every crossing maps its ports by a permutation.
-    """
-    produced = set(net.input_ports)
-    if len(produced) != len(net.input_ports):
-        raise ValueError("duplicate input ports")
-    consumed: set[int] = set()
-    for comp in net.components:
-        if comp.kind not in KINDS:
-            raise ValueError(f"unknown component kind {comp.kind!r}")
-        if not isinstance(comp.params, dict):
-            raise ValueError("component params must be a mapping")
-        if comp.kind == "crossing" and not _permutes(comp.params.get("mapping"), comp):
-            raise ValueError("crossing mapping is not a permutation of its ports")
-        for p in comp.in_ports:
-            if p not in produced:
-                raise ValueError(f"component consumes unproduced port {p}")
-            if p in consumed:
-                raise ValueError(f"port {p} consumed twice")
-            consumed.add(p)
-        for p in comp.out_ports:
-            if p in produced:
-                raise ValueError(f"port {p} produced twice")
-            produced.add(p)
-    for p in net.output_ports:
-        if p not in produced or p in consumed:
-            raise ValueError(f"output port {p} is not an open produced port")
+_COUPLER, _ACTIVE, _PASSIVE, _CROSSING, _DELAY, _DETECTOR = range(len(KINDS))
+_CODES = dict(zip(KINDS, range(len(KINDS))))
 
 
-def _permutes(mapping, comp: Component) -> bool:
-    n = len(comp.in_ports)
+def _flatten(net: Network) -> tuple:
+    """Kind codes (-1 if unknown), CSR offsets of the in- and out-ports, the
+    flat in- and out-ports as int64 arrays (None unless all are ints), params."""
+    comps = net.components
+    ins, outs = [c.in_ports for c in comps], [c.out_ports for c in comps]
+    return (
+        np.array([_CODES.get(c.kind, -1) if type(c.kind) is str else -1 for c in comps], dtype=np.int64),
+        np.cumsum([0, *map(len, ins)]),
+        np.cumsum([0, *map(len, outs)]),
+        _int64(list(chain.from_iterable(ins))),
+        _int64(list(chain.from_iterable(outs))),
+        [c.params for c in comps],
+    )
+
+
+def _int64(values) -> np.ndarray | None:
+    """The sequence as an int64 array if every value is an int (bools excluded) that fits, else None."""
+    if not set(map(type, values)) <= {int}:
+        return None
     try:
-        return len(comp.out_ports) == n and sorted(mapping) == list(range(n))
-    except TypeError:  # missing, or entries that do not compare
-        return False
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return None
+
+
+def validate(net: Network) -> None:
+    """Check the port graph and its components; ValueError names the first fault found.
+
+    Port ids are the ints 0 .. n_ports - 1.  Each is produced once, by an
+    input or a component, and consumed at most once, by a later component.
+    There is at least one output port, and none is consumed.  Components
+    have a known kind and a params dict.  Phase shifters and delays map
+    k >= 1 in-ports to k out-ports, a coupler has in-ports and a detector no
+    out-ports; a crossing permutes its ports and counts its crossings as an
+    int, and a delay lasts a finite duration >= 0.
+    """
+    _check(net, _flatten(net))
+
+
+def _check(net: Network, flat: tuple) -> None:
+    """`validate`, given the network's `_flatten`."""
+    codes, in_ptr, out_ptr, consumed, made, params = flat
+    n_in, n_out = np.diff(in_ptr), np.diff(out_ptr)
+    if (codes < 0).any():
+        raise ValueError(f"unknown component kind {net.components[np.argmax(codes < 0)].kind!r}")
+    if not set(map(type, params)) <= {dict}:
+        raise ValueError("component params must be a mapping")
+    one_to_one = np.isin(codes, (_ACTIVE, _PASSIVE, _DELAY))
+    bad = (
+        (one_to_one | (codes == _CROSSING)) & (n_in != n_out)
+        | (one_to_one | (codes == _COUPLER)) & (n_in == 0)
+        | (codes == _DETECTOR) & (n_out != 0)
+    )
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"a {KINDS[codes[i]]} with {n_in[i]} in-ports and {n_out[i]} out-ports")
+    counts = n_in.tolist()
+    for i in np.flatnonzero(codes == _CROSSING).tolist():
+        mapping = params[i].get("mapping")
+        ints = type(mapping) in (list, tuple) and set(map(type, mapping)) <= {int}
+        if not ints or sorted(mapping) != [*range(counts[i])]:
+            raise ValueError("crossing mapping is not a permutation of its ports")
+        if type(params[i].get("crossings", 0)) is not int:
+            raise ValueError("crossing count must be an int")
+    for i in np.flatnonzero(codes == _DELAY).tolist():
+        duration = params[i].get("duration", 0.0)
+        if type(duration) not in (int, float) or not 0 <= duration < math.inf:
+            raise ValueError(f"delay duration must be a finite number >= 0, not {duration!r}")
+    n_ports = net.n_ports
+    inputs, outputs, drops = map(_int64, (net.input_ports, net.output_ports, net.drop_ports))
+    ports = (inputs, outputs, drops, made, consumed)
+    if type(n_ports) is not int or any(a is None for a in ports):
+        raise ValueError("n_ports and every port id must be ints")
+    if any(a.size and (a.min() < 0 or a.max() >= n_ports) for a in ports):
+        raise ValueError(f"port ids must lie in [0, n_ports) = [0, {n_ports})")
+    if len(inputs) + len(made) < n_ports:  # this also bounds the tables below by the network's size
+        raise ValueError(f"{n_ports} ports declared, only {len(inputs) + len(made)} produced")
+    for ids, verb in ((np.concatenate([inputs, made]), "produced"), (consumed, "consumed")):
+        uses = np.bincount(ids, minlength=n_ports)
+        if uses.max(initial=0) > 1:
+            raise ValueError(f"port {np.argmax(uses)} {verb} twice")
+    # now every port has one producer: an input (-1) or a component
+    producer = np.full(n_ports, -1)
+    producer[made] = np.repeat(np.arange(len(codes)), n_out)
+    early = producer[consumed] >= np.repeat(np.arange(len(codes)), n_in)
+    if early.any():
+        raise ValueError(f"component consumes unproduced port {consumed[np.argmax(early)]}")
+    if not outputs.size or uses[outputs].any():  # uses: the consumed counts
+        raise ValueError("the output ports must be one or more produced ports that nothing consumes")
 
 
 def metrics(net: Network) -> CostMetrics:
     """Cost metrics by forward traversal of the port graph."""
-    validate(net)
-    lo: dict[int, int] = {p: 0 for p in net.input_ports}
-    hi: dict[int, int] = {p: 0 for p in net.input_ports}
-    n_active = n_couplers = n_crossings = crossing_count = 0
-    delays: list[float] = []
-    for comp in net.components:
-        if comp.kind == "active-phase":
-            n_active += len(comp.in_ports)
-        elif comp.kind == "coupler":
-            n_couplers += 1
-        elif comp.kind == "crossing":
-            n_crossings += 1
-            crossing_count += int(comp.params.get("crossings", 0))
-        elif comp.kind == "delay":
-            delays.append(float(comp.params.get("duration", 0.0)))
-        bump = 1 if comp.kind == "active-phase" else 0
-        if not comp.out_ports:
-            continue
-        if comp.kind == "crossing":
-            mapping = comp.params["mapping"]
-            for i, p in enumerate(comp.in_ports):
-                q = comp.out_ports[mapping[i]]
-                lo[q] = lo[p]
-                hi[q] = hi[p]
-        elif comp.kind in ("delay", "active-phase", "passive-phase"):
-            for p, q in zip(comp.in_ports, comp.out_ports):
-                lo[q] = lo[p] + bump
-                hi[q] = hi[p] + bump
-        else:  # coupler: light can take any in -> any out
-            block_lo = min(lo[p] for p in comp.in_ports)
-            block_hi = max(hi[p] for p in comp.in_ports)
-            for q in comp.out_ports:
+    flat = _flatten(net)
+    _check(net, flat)
+    codes, in_ptr, _, _, _, params = flat
+    # fewest and most active layers that light crosses to reach each port
+    lo = [0] * net.n_ports
+    hi = [0] * net.n_ports
+    for code, comp, param in zip(codes.tolist(), net.components, params):
+        ins, outs = comp.in_ports, comp.out_ports
+        if code == _COUPLER:  # light can take any in -> any out
+            block_lo = min(map(lo.__getitem__, ins))
+            block_hi = max(map(hi.__getitem__, ins))
+            for q in outs:
                 lo[q] = block_lo
                 hi[q] = block_hi
-    depth_min = min(lo[p] for p in net.output_ports)
-    depth_max = max(hi[p] for p in net.output_ports)
+        elif code != _DETECTOR:  # one to one, a crossing by its mapping; an active phase adds a layer
+            if code == _CROSSING:
+                outs = [outs[m] for m in param["mapping"]]
+            bump = int(code == _ACTIVE)
+            for p, q in zip(ins, outs):
+                lo[q] = lo[p] + bump
+                hi[q] = hi[p] + bump
+    crossings, delays = (np.flatnonzero(codes == code).tolist() for code in (_CROSSING, _DELAY))
     return CostMetrics(
-        n_active=n_active,
-        depth_min=depth_min,
-        depth_max=depth_max,
-        n_couplers=n_couplers,
-        n_crossings=n_crossings,
-        crossing_count=crossing_count,
-        delays=tuple(sorted(delays)),
+        n_active=int(np.diff(in_ptr)[codes == _ACTIVE].sum()),
+        depth_min=min(map(lo.__getitem__, net.output_ports)),
+        depth_max=max(map(hi.__getitem__, net.output_ports)),
+        n_couplers=int((codes == _COUPLER).sum()),
+        n_crossings=len(crossings),
+        crossing_count=sum(params[i].get("crossings", 0) for i in crossings),
+        delays=tuple(sorted(float(params[i].get("duration", 0.0)) for i in delays)),
         n_inputs=len(net.input_ports),
         n_outputs=len(net.output_ports),
     )
@@ -426,47 +501,39 @@ def _jsonable(v):
     return v
 
 
-def _int_list_json(values, indent: str) -> str | None:
-    """JSON text of a list or tuple whose items are all ints (bools excluded), else None."""
-    if set(map(type, values)) <= {int}:
-        return _json_list(list(map(int.__repr__, values)), indent)
+def _slot(value) -> int | None:
+    """How a template holds a param value: -1 for an int, the length of an int list, None for neither."""
+    if type(value) is int:
+        return -1
+    if type(value) in (list, tuple) and set(map(type, value)) <= {int}:
+        return len(value)
     return None
 
 
-def _param_json(value, indent: str) -> str:
-    """One param value, as `_jsonable` and then `json.dumps` would write it."""
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) in (list, tuple) and (text := _int_list_json(value, indent)):
-        return text
-    return _json_value(_jsonable(value), indent)
+def _template(shape: tuple) -> tuple[str, list[int]] | None:
+    """Text of a component of this shape with a `%d` per int, and its param order; None if not plain.
 
-
-def _params_json(params: dict, indent: str) -> str:
-    """A component's params dict; non-string keys leave the whole dict to `json.dumps`."""
-    items = params.items()
-    if not all(type(k) is str for k, _ in items):
-        return _json_value({k: _jsonable(v) for k, v in items}, indent)
-    if not params:
-        return "{}"
-    inner = "\n" + indent + "  "
-    return "{" + inner + ("," + inner).join(
-        f"{encode_basestring_ascii(k)}: {_param_json(params[k], indent + '  ')}" for k in sorted(params)
-    ) + "\n" + indent + "}"
-
-
-def _component_json(c: Component) -> str:
-    """One entry of the components list; its keys sit at a depth of six spaces."""
+    `shape` is (kind, in count, out count, *param keys, *their `_slot`s), the
+    keys in the dict's own order.  Plain means str keys and no None slot.
+    """
+    kind, n_in, n_out, *rest = shape
+    keys, slots = rest[: len(rest) // 2], rest[len(rest) // 2:]
+    if not all(type(k) is str for k in keys) or None in slots:
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     pad = " " * 6
-    in_ports = _int_list_json(c.in_ports, pad) or _json_value(list(c.in_ports), pad)
-    out_ports = _int_list_json(c.out_ports, pad) or _json_value(list(c.out_ports), pad)
-    kind = encode_basestring_ascii(c.kind) if type(c.kind) is str else _json_value(c.kind, pad)
+
+    def text(s: str) -> str:
+        return encode_basestring_ascii(s).replace("%", "%%")
+
+    def ints(n: int, indent: str = pad) -> str:
+        return "%d" if n < 0 else _json_list(["%d"] * n, indent)
+
+    params = _json_list([f"{text(keys[i])}: {ints(slots[i], pad + '  ')}" for i in order], pad)
     return (
-        f'{{\n{pad}"in_ports": {in_ports},\n{pad}"kind": {kind},\n'
-        f'{pad}"out_ports": {out_ports},\n{pad}"params": {_params_json(c.params, pad)}\n    }}'
-    )
+        f'{{\n{pad}"in_ports": {ints(n_in)},\n{pad}"kind": {text(kind)},\n'
+        f'{pad}"out_ports": {ints(n_out)},\n{pad}"params": {{{params[1:-1]}}}\n    }}'
+    ), order
 
 
 def network_to_json(net: Network) -> str:
@@ -476,12 +543,37 @@ def network_to_json(net: Network) -> str:
     indent=2)` of the payload {"name", "params", "n_ports", "input_ports",
     "output_ports", "drop_ports" (port tuples as lists), "components": one
     {"kind", "in_ports", "out_ports", "params"} dict per component, each
-    param value passed through `_jsonable`}.  Components are rendered from a
-    fixed template, because the stdlib cannot use its C encoder with indent;
-    irregular values still go through `json.dumps`.
+    param value passed through `_jsonable`}.  The stdlib cannot use its C
+    encoder with indent, so each component shape (kind, port counts, param
+    keys and list lengths) is rendered once as a template with a `%d` per
+    int, and one `%` fills them all.  A component holding anything but ints
+    under str keys goes through `json.dumps` itself.
     """
+    _, in_ptr, out_ptr, consumed, made, params = _flatten(net)
+    ints = made is not None and consumed is not None
+    templates: dict = {None: None}
+    texts: list[str] = []
+    values: list[int] = []
+    for c, param, n_in, n_out in zip(net.components, params, np.diff(in_ptr).tolist(), np.diff(out_ptr).tolist()):
+        shape = None
+        if type(c.kind) is str and type(param) is dict:
+            shape = (c.kind, n_in, n_out, *param, *map(_slot, param.values()))
+            if shape not in templates:
+                templates[shape] = _template(shape)
+        if templates[shape] is None or not (ints or set(map(type, chain(c.in_ports, c.out_ports))) <= {int}):
+            payload = {"kind": c.kind, "in_ports": list(c.in_ports), "out_ports": list(c.out_ports)}
+            payload["params"] = {k: _jsonable(v) for k, v in param.items()}
+            texts.append(_json_value(payload, "    ").replace("%", "%%"))
+            continue
+        text, order = templates[shape]
+        texts.append(text)
+        values += c.in_ports
+        values += c.out_ports
+        held = list(param.values())
+        for i in order:
+            values += held[i] if type(held[i]) is not int else (held[i],)
     return (
-        f'{{\n  "components": {_json_list([_component_json(c) for c in net.components], "  ")},\n'
+        f'{{\n  "components": {_json_list(texts, "  ") % tuple(values)},\n'
         f'  "drop_ports": {_json_value(list(net.drop_ports), "  ")},\n'
         f'  "input_ports": {_json_value(list(net.input_ports), "  ")},\n'
         f'  "n_ports": {_json_value(net.n_ports, "  ")},\n'
@@ -492,23 +584,22 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """Parse `network_to_json` text and validate it; ValueError on any malformed payload."""
     payload = json.loads(text)
-    net = Network(
-        name=payload["name"],
-        components=tuple(
-            Component(
-                kind=c["kind"],
-                in_ports=tuple(c["in_ports"]),
-                out_ports=tuple(c["out_ports"]),
-                params=c.get("params", {}),
-            )
-            for c in payload["components"]
-        ),
-        input_ports=tuple(payload["input_ports"]),
-        output_ports=tuple(payload["output_ports"]),
-        drop_ports=tuple(payload["drop_ports"]),
-        n_ports=payload["n_ports"],
-        params=payload.get("params", {}),
-    )
+    try:
+        net = Network(
+            name=payload["name"],
+            components=tuple(
+                Component(c["kind"], tuple(c["in_ports"]), tuple(c["out_ports"]), c.get("params", {}))
+                for c in payload["components"]
+            ),
+            input_ports=tuple(payload["input_ports"]),
+            output_ports=tuple(payload["output_ports"]),
+            drop_ports=tuple(payload["drop_ports"]),
+            n_ports=payload["n_ports"],
+            params=payload.get("params", {}),
+        )
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"malformed network payload: {err!r}") from None
     validate(net)
     return net

@@ -201,6 +201,20 @@ def test_validate_rejects_double_consumption():
         networks.validate(bad)
 
 
+def test_stamped_switch_blocks_share_no_params():
+    # log-tree(16, 4) stamps one 4-mode block five times; editing one
+    # stamped crossing must leave every other component as built
+    net = networks.build_log_tree(16, 4)
+    first = next(c for c in net.components if c.kind == "crossing")
+    first.params["mapping"].reverse()
+    first.params["note"] = "edited"
+    fresh = networks.build_log_tree(16, 4)
+    kept = [i for i, c in enumerate(net.components) if c is not first]
+    assert len(kept) == len(net.components) - 1
+    assert [net.components[i] for i in kept] == [fresh.components[i] for i in kept]
+    assert first != fresh.components[net.components.index(first)]
+
+
 def test_network_json_roundtrip():
     for net in (
         networks.build_delay_network(8, 2),
@@ -342,6 +356,8 @@ def test_validate_rejects_malformed_components():
         _tampered(net, cross, params={"mapping": [0] * len(good), "crossings": 1}),
         _tampered(net, cross, params={"mapping": [m + 1 for m in good], "crossings": 1}),
         _tampered(net, cross, params={"mapping": ["a"] + good[1:], "crossings": 1}),
+        _tampered(net, cross, params={"mapping": [float(m) for m in good], "crossings": 1}),
+        _tampered(net, cross, params={"mapping": good, "crossings": [1]}),
         _tampered(net, cross, params=[good]),
         # arities the traversal gives no meaning
         _tampered(net, active, in_ports=[]),
