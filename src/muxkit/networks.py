@@ -188,7 +188,11 @@ def _add_switch_block(b: _Builder, in_ports) -> list[int]:
     b.shapes += t.shapes
     b.in_ports += map(ports.__getitem__, t.in_ports)
     b.out_ports += map(ports.__getitem__, t.out_ports)
-    b.comp_params += [{k: v.copy() if type(v) is list else v for k, v in p.items()} for p in t.comp_params]
+    fresh = [p.copy() for p in t.comp_params]
+    for p in fresh:
+        if "mapping" in p:
+            p["mapping"] = p["mapping"].copy()
+    b.comp_params += fresh
     return [ports[r] for r in t_outs]
 
 

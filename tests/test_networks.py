@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muxkit import networks
@@ -266,7 +266,7 @@ def test_network_json_equals_the_stdlib_encoder_for_every_builder(name):
         assert networks.network_to_json(net) == _network_json_oracle(net)
 
 
-_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(['"\\/\n\t\x00\x1f', "é", "\U0001f600", "\u2028", ""]))
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(['"\\/\n\t\x00\x1f', "é", "\U0001f600", "\u2028", "", "%d %s %%"]))
 _FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]))
 _PLAIN = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FLOAT, _TEXT),
@@ -308,6 +308,13 @@ _COMPONENT = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
+@example(  # a template's literal text holds "%" only escaped
+    name="%d",
+    components=(networks.Component("%d %s %%", (1, 2), (3,), {"%d": 4, "%s": [5, 6]}),),
+    ports=(1,),
+    n_ports=7,
+    params={"%": "%d"},
+)
 @given(
     name=_TEXT,
     components=st.lists(_COMPONENT, max_size=4).map(tuple),
@@ -368,6 +375,10 @@ def test_validate_rejects_malformed_components():
         _tampered(net, coupler, in_ports=[float(ins[0])] + ins[1:]),
         _tampered(net, coupler, in_ports=[True] + ins[1:]),
         _edited(net, lambda d: d.update(n_ports=3)),
+        _edited(net, lambda d: d.update(n_ports=10**12)),
+        # port order: consumed before it is produced, an output consumed
+        _edited(net, lambda d: d["components"].reverse()),
+        _edited(net, lambda d: d.update(output_ports=[d["components"][0]["out_ports"][0]])),
         # payloads of the wrong shape
         "[]",
         "{}",
