@@ -77,7 +77,7 @@ class _Builder:
     def __init__(self, name: str, **params):
         self.name = name
         self.params = params
-        self.shapes: list[tuple[str, int, int]] = []  # (kind, in count, out count) per component
+        self.kind_counts: list[tuple[str, int, int]] = []  # (kind, in count, out count) per component
         self.comp_params: list[dict] = []
         self.in_ports: list[int] = []  # flat, component after component
         self.out_ports: list[int] = []
@@ -99,7 +99,7 @@ class _Builder:
 
     def add(self, kind: str, in_ports, n_out: int, **params) -> list[int]:
         outs = self._take(n_out)
-        self.shapes.append((kind, len(in_ports), n_out))
+        self.kind_counts.append((kind, len(in_ports), n_out))
         self.comp_params.append(params)
         self.in_ports += in_ports
         self.out_ports += outs
@@ -116,7 +116,7 @@ class _Builder:
             name=self.name,
             components=tuple(
                 Component(kind, tuple(islice(ins, n_in)), tuple(islice(outs, n_out)), params)
-                for (kind, n_in, n_out), params in zip(self.shapes, self.comp_params)
+                for (kind, n_in, n_out), params in zip(self.kind_counts, self.comp_params)
             ),
             input_ports=tuple(self.inputs),
             output_ports=tuple(output_ports),
@@ -185,7 +185,7 @@ def _add_switch_block(b: _Builder, in_ports) -> list[int]:
         b._blocks[n] = (t, _expand_switch_block(t, t.new_input(n)))
     t, t_outs = b._blocks[n]
     ports = list(in_ports) + b._take(t._next - n)
-    b.shapes += t.shapes
+    b.kind_counts += t.kind_counts
     b.in_ports += map(ports.__getitem__, t.in_ports)
     b.out_ports += map(ports.__getitem__, t.out_ports)
     fresh = [p.copy() for p in t.comp_params]
