@@ -376,9 +376,15 @@ def test_validate_rejects_malformed_components():
         _tampered(net, coupler, in_ports=[True] + ins[1:]),
         _edited(net, lambda d: d.update(n_ports=3)),
         _edited(net, lambda d: d.update(n_ports=10**12)),
+        _edited(net, lambda d: d.update(n_ports=True)),
+        _edited(net, lambda d: d.update(drop_ports=d["drop_ports"][:-1] + [d["n_ports"]])),
         # port order: consumed before it is produced, an output consumed
         _edited(net, lambda d: d["components"].reverse()),
         _edited(net, lambda d: d.update(output_ports=[d["components"][0]["out_ports"][0]])),
+        # ports produced or consumed twice
+        _edited(net, lambda d: d.update(input_ports=d["input_ports"] + d["input_ports"][:1])),
+        _tampered(net, coupler, out_ports=ins[:1] + doc["components"][coupler]["out_ports"][1:]),
+        _tampered(net, coupler, in_ports=ins[:1] * 2 + ins[2:]),
         # payloads of the wrong shape
         "[]",
         "{}",
@@ -396,6 +402,26 @@ def test_validate_rejects_malformed_components():
     comps[cross] = networks.Component("crossing", comps[cross].in_ports, comps[cross].out_ports, {})
     with pytest.raises(ValueError):
         networks.metrics(dataclasses.replace(net, components=tuple(comps)))
+
+
+_NET_PORTS = st.one_of(st.integers(0, 12), st.booleans(), _FLOAT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    components=st.lists(_COMPONENT, max_size=6).map(tuple),
+    inputs=st.lists(_NET_PORTS, max_size=6).map(tuple),
+    outputs=st.lists(_NET_PORTS, max_size=3).map(tuple),
+    drops=st.lists(_NET_PORTS, max_size=3).map(tuple),
+    n_ports=_NET_PORTS,
+)
+def test_validate_and_metrics_raise_only_value_error(components, inputs, outputs, drops, n_ports):
+    net = networks.Network("drawn", components, inputs, outputs, drops, n_ports)
+    for check in (networks.validate, networks.metrics):
+        try:
+            check(net)
+        except ValueError:
+            pass
 
 
 # ---------------------------------------------------------------------------
