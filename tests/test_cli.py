@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from muxkit import __version__, analytics, networks, patterns
+from muxkit import __version__, analytics, gridmux, networks, patterns
 from muxkit.cli import main
 
 
@@ -223,6 +223,13 @@ def test_unknown_flag_exits_2():
         (["search", "--circuit", "binning", "--n", "0"], "n must be"),
         (["net", "--topology", "spanke", "--size", "0", "--m", "1"], "size"),
         (["gmzi", "--size", "1000000"], "angle table"),
+        (["gmzi", "--size", "1000000", "--verify"], "table"),
+        (["analyze", "--curve", "footprint", "--n", "0"], "n_sources >= 1"),
+        (["analyze", "--curve", "footprint", "--p", "0"], "needs p in"),
+        (["analyze", "--curve", "footprint", "--yield", "0"], "yield in"),
+        (["analyze", "--curve", "footprint", "--p-group", "0"], "p_group in"),
+        (["analyze", "--curve", "footprint", "--p-out", "1"], "p_out in"),
+        (["analyze", "--curve", "footprint", "--n", "100000"], "p_group / 4 < 1"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
@@ -248,6 +255,16 @@ def test_missing_config_file_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "missing.json" in err
     assert "Traceback" not in err
+
+
+def test_malformed_config_file_is_a_clean_error(tmp_path, capsys):
+    doc = json.loads(gridmux.config_to_json(gridmux.default_config()))
+    doc["grid"] = 5
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(doc))
+    assert main(["gridmux", "--p-range", "0.1", "--trials", "10", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

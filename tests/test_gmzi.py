@@ -330,6 +330,27 @@ def test_device_json_roundtrip_and_tamper_detection():
         gmzi.device_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{}",
+        "null",
+        '"spec"',
+        '{"N": 2, "settings": [[0, 0]]}',
+        '{"spec": [2], "N": 2}',
+        '{"spec": 5, "N": 5, "settings": []}',
+        '{"spec": null, "N": 2, "settings": []}',
+        '{"spec": [[2]], "N": 2, "settings": []}',
+        '{"spec": [2], "N": 2, "settings": [[0, 0], [0, {}]]}',
+        '{"spec": [2], "N": 2, "offsets": {"a": 1}, "settings": [[0, 0]]}',
+    ],
+)
+def test_device_from_json_rejects_malformed_payloads(text):
+    with pytest.raises(ValueError):
+        gmzi.device_from_json(text)
+
+
 def test_build_gmzi_argument_checks():
     with pytest.raises(ValueError):
         gmzi.build_gmzi(())

@@ -60,6 +60,25 @@ def test_config_from_json_names_a_missing_key():
         gridmux.config_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"grid": 5},
+        {"grid": [5] * 20},
+        {"columns": 5},
+        {"rows": [5] * 20},
+        {"rows": [[16, [0]]] * 20},
+        {"group_size": None},
+        {"generators": [5]},
+    ],
+)
+def test_config_from_json_rejects_malformed_payloads(edit):
+    doc = json.loads(gridmux.config_to_json(gridmux.default_config()))
+    doc.update(edit)
+    with pytest.raises(ValueError):
+        gridmux.config_from_json(json.dumps(doc))
+
+
 def test_route_empty_and_full():
     cfg = gridmux.default_config()
     nrows, ncols = len(cfg.rows), len(cfg.columns)
