@@ -360,35 +360,6 @@ BUILDERS = {
 # ---------------------------------------------------------------------------
 # traversal metrics and validation
 
-_COUPLER, _ACTIVE, _PASSIVE, _CROSSING, _DELAY, _DETECTOR = range(len(KINDS))
-_CODES = dict(zip(KINDS, range(len(KINDS))))
-
-
-def _flatten(net: Network) -> tuple:
-    """Kind codes (-1 if unknown), CSR offsets of the in- and out-ports, the
-    flat in- and out-ports as int64 arrays (None unless all are ints), params."""
-    comps = net.components
-    ins, outs = [c.in_ports for c in comps], [c.out_ports for c in comps]
-    return (
-        np.array([_CODES.get(c.kind, -1) if type(c.kind) is str else -1 for c in comps], dtype=np.int64),
-        np.cumsum([0, *map(len, ins)]),
-        np.cumsum([0, *map(len, outs)]),
-        _int64(list(chain.from_iterable(ins))),
-        _int64(list(chain.from_iterable(outs))),
-        [c.params for c in comps],
-    )
-
-
-def _int64(values) -> np.ndarray | None:
-    """The sequence as an int64 array if every value is an int (bools excluded) that fits, else None."""
-    if not set(map(type, values)) <= {int}:
-        return None
-    try:
-        return np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:
-        return None
-
-
 def validate(net: Network) -> None:
     """Check the port graph and its components; ValueError names the first fault found.
 
@@ -400,93 +371,89 @@ def validate(net: Network) -> None:
     out-ports; a crossing permutes its ports and counts its crossings as an
     int, and a delay lasts a finite duration >= 0.
     """
-    _check(net, _flatten(net))
-
-
-def _check(net: Network, flat: tuple) -> None:
-    """`validate`, given the network's `_flatten`."""
-    codes, in_ptr, out_ptr, consumed, made, params = flat
-    n_in, n_out = np.diff(in_ptr), np.diff(out_ptr)
-    if (codes < 0).any():
-        raise ValueError(f"unknown component kind {net.components[np.argmax(codes < 0)].kind!r}")
-    if not set(map(type, params)) <= {dict}:
+    comps = net.components
+    kinds = [c.kind for c in comps]
+    if not set(map(type, kinds)) <= {str} or not set(kinds) <= set(KINDS):
+        raise ValueError(f"unknown component kind {next(k for k in kinds if type(k) is not str or k not in KINDS)!r}")
+    if not set(map(type, [c.params for c in comps])) <= {dict}:
         raise ValueError("component params must be a mapping")
-    one_to_one = np.isin(codes, (_ACTIVE, _PASSIVE, _DELAY))
-    bad = (
-        (one_to_one | (codes == _CROSSING)) & (n_in != n_out)
-        | (one_to_one | (codes == _COUPLER)) & (n_in == 0)
-        | (codes == _DETECTOR) & (n_out != 0)
-    )
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValueError(f"a {KINDS[codes[i]]} with {n_in[i]} in-ports and {n_out[i]} out-ports")
-    counts = n_in.tolist()
-    for i in np.flatnonzero(codes == _CROSSING).tolist():
-        mapping = params[i].get("mapping")
-        ints = type(mapping) in (list, tuple) and set(map(type, mapping)) <= {int}
-        if not ints or sorted(mapping) != [*range(counts[i])]:
-            raise ValueError("crossing mapping is not a permutation of its ports")
-        if type(params[i].get("crossings", 0)) is not int:
-            raise ValueError("crossing count must be an int")
-    for i in np.flatnonzero(codes == _DELAY).tolist():
-        duration = params[i].get("duration", 0.0)
-        if type(duration) not in (int, float) or not 0 <= duration < math.inf:
-            raise ValueError(f"delay duration must be a finite number >= 0, not {duration!r}")
+    ins, outs = [c.in_ports for c in comps], [c.out_ports for c in comps]
+    for kind, n_in, n_out in dict.fromkeys(zip(kinds, map(len, ins), map(len, outs))):  # first seen first
+        if (
+            kind in ("active-phase", "passive-phase", "delay") and (n_in != n_out or n_in == 0)
+            or kind == "crossing" and n_in != n_out
+            or kind == "coupler" and n_in == 0
+            or kind == "detector-port" and n_out != 0
+        ):
+            raise ValueError(f"a {kind} with {n_in} in-ports and {n_out} out-ports")
+    for kind, c in zip(kinds, comps):
+        if kind == "crossing":
+            mapping = c.params.get("mapping")
+            ints = type(mapping) in (list, tuple) and set(map(type, mapping)) <= {int}
+            if not ints or sorted(mapping) != [*range(len(c.in_ports))]:
+                raise ValueError("crossing mapping is not a permutation of its ports")
+            if type(c.params.get("crossings", 0)) is not int:
+                raise ValueError("crossing count must be an int")
+        elif kind == "delay":
+            duration = c.params.get("duration", 0.0)
+            if type(duration) not in (int, float) or not 0 <= duration < math.inf:
+                raise ValueError(f"delay duration must be a finite number >= 0, not {duration!r}")
     n_ports = net.n_ports
-    inputs, outputs, drops = map(_int64, (net.input_ports, net.output_ports, net.drop_ports))
-    ports = (inputs, outputs, drops, made, consumed)
-    if type(n_ports) is not int or any(a is None for a in ports):
+    produced = [*net.input_ports, *chain.from_iterable(outs)]
+    ports = [*produced, *net.drop_ports, *chain.from_iterable(ins), *net.output_ports]
+    if type(n_ports) is not int or not set(map(type, ports)) <= {int}:
         raise ValueError("n_ports and every port id must be ints")
-    if any(a.size and (a.min() < 0 or a.max() >= n_ports) for a in ports):
+    # consumed and output ids need no range check: the walk below matches them with produced ids
+    if any(ids and (min(ids) < 0 or max(ids) >= n_ports) for ids in (produced, net.drop_ports)):
         raise ValueError(f"port ids must lie in [0, n_ports) = [0, {n_ports})")
-    if len(inputs) + len(made) < n_ports:  # this also bounds the tables below by the network's size
-        raise ValueError(f"{n_ports} ports declared, only {len(inputs) + len(made)} produced")
-    for ids, verb in ((np.concatenate([inputs, made]), "produced"), (consumed, "consumed")):
-        uses = np.bincount(ids, minlength=n_ports)
-        if uses.max(initial=0) > 1:
-            raise ValueError(f"port {np.argmax(uses)} {verb} twice")
-    # now every port has one producer: an input (-1) or a component
-    producer = np.full(n_ports, -1)
-    producer[made] = np.repeat(np.arange(len(codes)), n_out)
-    early = producer[consumed] >= np.repeat(np.arange(len(codes)), n_in)
-    if early.any():
-        raise ValueError(f"component consumes unproduced port {consumed[np.argmax(early)]}")
-    if not outputs.size or uses[outputs].any():  # uses: the consumed counts
+    if len(produced) < n_ports:  # this also bounds the sets below by the network's size
+        raise ValueError(f"{n_ports} ports declared, only {len(produced)} produced")
+    if len(set(produced)) != len(produced):
+        seen: set[int] = set()
+        raise ValueError(f"port {next(p for p in produced if p in seen or seen.add(p))} produced twice")
+    live = set(net.input_ports)
+    try:
+        for consumed, made in zip(ins, outs):
+            for p in consumed:
+                live.remove(p)
+            live.update(made)
+    except KeyError as err:
+        raise ValueError(f"port {err.args[0]} consumed twice or before it is produced") from None
+    if not net.output_ports or not live.issuperset(net.output_ports):
         raise ValueError("the output ports must be one or more produced ports that nothing consumes")
 
 
 def metrics(net: Network) -> CostMetrics:
     """Cost metrics by forward traversal of the port graph."""
-    flat = _flatten(net)
-    _check(net, flat)
-    codes, in_ptr, _, _, _, params = flat
+    validate(net)
+    comps = net.components
     # fewest and most active layers that light crosses to reach each port
     lo = [0] * net.n_ports
     hi = [0] * net.n_ports
-    for code, comp, param in zip(codes.tolist(), net.components, params):
-        ins, outs = comp.in_ports, comp.out_ports
-        if code == _COUPLER:  # light can take any in -> any out
+    for c in comps:
+        kind, ins, outs = c.kind, c.in_ports, c.out_ports
+        if kind == "coupler":  # light can take any in -> any out
             block_lo = min(map(lo.__getitem__, ins))
             block_hi = max(map(hi.__getitem__, ins))
             for q in outs:
                 lo[q] = block_lo
                 hi[q] = block_hi
-        elif code != _DETECTOR:  # one to one, a crossing by its mapping; an active phase adds a layer
-            if code == _CROSSING:
-                outs = [outs[m] for m in param["mapping"]]
-            bump = int(code == _ACTIVE)
+        elif kind != "detector-port":  # one to one, a crossing by its mapping; an active phase adds a layer
+            if kind == "crossing":
+                outs = [outs[m] for m in c.params["mapping"]]
+            bump = int(kind == "active-phase")
             for p, q in zip(ins, outs):
                 lo[q] = lo[p] + bump
                 hi[q] = hi[p] + bump
-    crossings, delays = (np.flatnonzero(codes == code).tolist() for code in (_CROSSING, _DELAY))
+    crossings = [c.params.get("crossings", 0) for c in comps if c.kind == "crossing"]
     return CostMetrics(
-        n_active=int(np.diff(in_ptr)[codes == _ACTIVE].sum()),
+        n_active=sum(len(c.in_ports) for c in comps if c.kind == "active-phase"),
         depth_min=min(map(lo.__getitem__, net.output_ports)),
         depth_max=max(map(hi.__getitem__, net.output_ports)),
-        n_couplers=int((codes == _COUPLER).sum()),
+        n_couplers=sum(c.kind == "coupler" for c in comps),
         n_crossings=len(crossings),
-        crossing_count=sum(params[i].get("crossings", 0) for i in crossings),
-        delays=tuple(sorted(float(params[i].get("duration", 0.0)) for i in delays)),
+        crossing_count=sum(crossings),
+        delays=tuple(sorted(float(c.params.get("duration", 0.0)) for c in comps if c.kind == "delay")),
         n_inputs=len(net.input_ports),
         n_outputs=len(net.output_ports),
     )
@@ -553,15 +520,17 @@ def network_to_json(net: Network) -> str:
     int, and one `%` fills them all.  A component holding anything but ints
     under str keys goes through `json.dumps` itself.
     """
-    _, in_ptr, out_ptr, consumed, made, params = _flatten(net)
-    ints = made is not None and consumed is not None
+    comps = net.components
+    ports = chain.from_iterable([c.in_ports for c in comps] + [c.out_ports for c in comps])
+    ints = set(map(type, ports)) <= {int}
     templates: dict = {None: None}
     texts: list[str] = []
     values: list[int] = []
-    for c, param, n_in, n_out in zip(net.components, params, np.diff(in_ptr).tolist(), np.diff(out_ptr).tolist()):
+    for c in comps:
+        param = c.params
         shape = None
         if type(c.kind) is str and type(param) is dict:
-            shape = (c.kind, n_in, n_out, *param, *map(_slot, param.values()))
+            shape = (c.kind, len(c.in_ports), len(c.out_ports), *param, *map(_slot, param.values()))
             if shape not in templates:
                 templates[shape] = _template(shape)
         if templates[shape] is None or not (ints or set(map(type, chain(c.in_ports, c.out_ports))) <= {int}):
