@@ -63,7 +63,12 @@ __all__ = [
 ]
 
 
-_MAX_TABLE_MODES = 4096  # all_setting_angles holds N x N float64 tables (128 MiB each at 4,096)
+_MAX_TABLE_MODES = 4096  # routing_table and all_setting_angles hold N x N 8-byte tables (128 MiB each at 4,096)
+
+
+def _check_table_modes(dev: GmziDevice, table: str) -> None:
+    if dev.n_modes > _MAX_TABLE_MODES:
+        raise ValueError(f"the {table} table for {dev.n_modes} modes needs n_modes <= {_MAX_TABLE_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +267,10 @@ def setting_angles(dev: GmziDevice, k) -> np.ndarray:
 def all_setting_angles(dev: GmziDevice) -> np.ndarray:
     """(N_settings x N_modes) matrix of target angles.
 
-    Raises ValueError above _MAX_TABLE_MODES modes: the table is N^2
+    Raises ValueError above _MAX_TABLE_MODES = 4,096 modes: the table is N^2
     float64s, 128 MiB at N = 4,096, and building it holds a few such arrays.
     """
-    if dev.n_modes > _MAX_TABLE_MODES:
-        raise ValueError(f"an angle table for {dev.n_modes} modes needs n_modes <= {_MAX_TABLE_MODES}")
+    _check_table_modes(dev, "angle")
     return _angles(dev.factors, _mixed_radix(dev.factors)[0])
 
 
@@ -297,8 +301,10 @@ def routing_table(dev: GmziDevice) -> np.ndarray:
     """(setting, input) -> output table; rows are the group permutations.
 
     For any device this is a Latin square: each input reaches each output
-    under exactly one setting.
+    under exactly one setting.  Raises ValueError above _MAX_TABLE_MODES =
+    4,096 modes: the table is N^2 int64s, 128 MiB at N = 4,096.
     """
+    _check_table_modes(dev, "routing")
     digits, place = _mixed_radix(dev.factors)
     # ((digits[:, None] + digits[None]) % factors) @ place, one factor at a
     # time so no (N, N, r) intermediate is ever allocated
@@ -700,14 +706,19 @@ def device_to_json(dev: GmziDevice) -> str:
 
 
 def device_from_json(text: str) -> GmziDevice:
+    """Parse `device_to_json` text and check it against its spec; ValueError on any malformed payload."""
     payload = json.loads(text)
-    dev = build_gmzi(
-        payload["spec"],
-        offsets=None if payload.get("offsets") is None else np.array(payload["offsets"]),
-    )
-    if dev.n_modes != payload["N"]:
+    try:
+        dev = build_gmzi(
+            payload["spec"],
+            offsets=None if payload.get("offsets") is None else np.array(payload["offsets"]),
+        )
+        n_modes = payload["N"]
+        stored = np.array(payload["settings"], dtype=float)
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"malformed device payload: {err!r}") from None
+    if dev.n_modes != n_modes:
         raise ValueError("inconsistent serialized device: N != product of factors")
-    stored = np.array(payload["settings"], dtype=float)
     rebuilt = all_setting_angles(dev)
     if stored.shape != rebuilt.shape or np.max(np.abs(stored - rebuilt)) > 1e-9:
         raise ValueError("inconsistent serialized device: settings do not match spec")

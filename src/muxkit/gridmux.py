@@ -112,13 +112,16 @@ def config_from_json(text: str) -> GridMuxConfig:
     missing = [key for key in ("columns", "rows", "grid", "group_size", "generators") if key not in doc]
     if missing:
         raise ValueError(f"grid config is missing {', '.join(missing)}")
-    return GridMuxConfig(
-        columns=tuple(doc["columns"]),
-        rows=tuple((int(a), int(b)) for a, b in doc["rows"]),
-        grid=tuple(tuple(bool(x) for x in row) for row in doc["grid"]),
-        group_size=int(doc["group_size"]),
-        generators=int(doc["generators"]),
-    )
+    try:
+        return GridMuxConfig(
+            columns=tuple(doc["columns"]),
+            rows=tuple((int(a), int(b)) for a, b in doc["rows"]),
+            grid=tuple(tuple(bool(x) for x in row) for row in doc["grid"]),
+            group_size=int(doc["group_size"]),
+            generators=int(doc["generators"]),
+        )
+    except TypeError as err:
+        raise ValueError(f"malformed grid config: {err}") from None
 
 
 # ---------------------------------------------------------------------------
