@@ -114,7 +114,7 @@ def config_from_json(text: str) -> GridMuxConfig:
         raise ValueError(f"grid config is missing {', '.join(missing)}")
     try:
         return GridMuxConfig(
-            columns=tuple(doc["columns"]),
+            columns=tuple(map(int, doc["columns"])),
             rows=tuple((int(a), int(b)) for a, b in doc["rows"]),
             grid=tuple(tuple(bool(x) for x in row) for row in doc["grid"]),
             group_size=int(doc["group_size"]),

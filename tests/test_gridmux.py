@@ -53,6 +53,14 @@ def test_config_json_roundtrip():
     assert back == cfg
 
 
+def test_config_from_json_reads_sizes_as_ints():
+    cfg = gridmux.default_config()
+    doc = json.loads(gridmux.config_to_json(cfg))
+    doc["columns"] = [float(c) for c in doc["columns"]]
+    back = gridmux.config_from_json(json.dumps(doc))
+    assert back == cfg and {type(c) for c in back.columns} == {int}
+
+
 def test_config_from_json_names_a_missing_key():
     doc = json.loads(gridmux.config_to_json(gridmux.default_config()))
     del doc["generators"]
