@@ -273,7 +273,7 @@ def footprint(n_sources: int, p: float, yield_: float, p_group: float, p_out: fl
     Raises ValueError unless n_sources >= 1, p, yield_ and p_group lie in
     (0, 1], p_out in [0, 1) and q < 1.
     """
-    if n_sources < 1:
+    if not n_sources >= 1:
         raise ValueError("footprint needs n_sources >= 1")
     for name, value in (("p", p), ("yield", yield_), ("p_group", p_group)):
         if not 0.0 < value <= 1.0:
@@ -281,7 +281,7 @@ def footprint(n_sources: int, p: float, yield_: float, p_group: float, p_out: fl
     if not 0.0 <= p_out < 1.0:
         raise ValueError(f"footprint needs p_out in [0, 1), not {p_out}")
     q = n_sources * p * yield_ * p_group / 4.0
-    if q >= 1.0:
+    if not q < 1.0:
         raise ValueError(f"footprint needs n_sources * p * yield * p_group / 4 < 1, not {q}")
     copies = math.log1p(-p_out) / math.log1p(-q)
     approx = -4.0 * math.log1p(-p_out) / (p * p_group * yield_)

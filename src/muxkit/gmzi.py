@@ -715,7 +715,7 @@ def device_from_json(text: str) -> GmziDevice:
         )
         n_modes = payload["N"]
         stored = np.array(payload["settings"], dtype=float)
-    except (KeyError, TypeError, AttributeError) as err:
+    except (KeyError, TypeError) as err:
         raise ValueError(f"malformed device payload: {err!r}") from None
     if dev.n_modes != n_modes:
         raise ValueError("inconsistent serialized device: N != product of factors")
