@@ -430,8 +430,10 @@ def metrics(net: Network) -> CostMetrics:
     # fewest and most active layers that light crosses to reach each port
     lo = [0] * net.n_ports
     hi = [0] * net.n_ports
+    by_kind: dict[str, list[Component]] = {kind: [] for kind in KINDS}
     for c in comps:
         kind, ins, outs = c.kind, c.in_ports, c.out_ports
+        by_kind[kind].append(c)
         if kind == "coupler":  # light can take any in -> any out
             block_lo = min(map(lo.__getitem__, ins))
             block_hi = max(map(hi.__getitem__, ins))
@@ -445,15 +447,14 @@ def metrics(net: Network) -> CostMetrics:
             for p, q in zip(ins, outs):
                 lo[q] = lo[p] + bump
                 hi[q] = hi[p] + bump
-    crossings = [c.params.get("crossings", 0) for c in comps if c.kind == "crossing"]
     return CostMetrics(
-        n_active=sum(len(c.in_ports) for c in comps if c.kind == "active-phase"),
+        n_active=sum(len(c.in_ports) for c in by_kind["active-phase"]),
         depth_min=min(map(lo.__getitem__, net.output_ports)),
         depth_max=max(map(hi.__getitem__, net.output_ports)),
-        n_couplers=sum(c.kind == "coupler" for c in comps),
-        n_crossings=len(crossings),
-        crossing_count=sum(crossings),
-        delays=tuple(sorted(float(c.params.get("duration", 0.0)) for c in comps if c.kind == "delay")),
+        n_couplers=len(by_kind["coupler"]),
+        n_crossings=len(by_kind["crossing"]),
+        crossing_count=sum(c.params.get("crossings", 0) for c in by_kind["crossing"]),
+        delays=tuple(sorted(float(c.params.get("duration", 0.0)) for c in by_kind["delay"])),
         n_inputs=len(net.input_ports),
         n_outputs=len(net.output_ports),
     )
@@ -523,22 +524,23 @@ def network_to_json(net: Network) -> str:
     comps = net.components
     ports = chain.from_iterable([c.in_ports for c in comps] + [c.out_ports for c in comps])
     ints = set(map(type, ports)) <= {int}
-    templates: dict = {None: None}
+    templates: dict = {}
     texts: list[str] = []
     values: list[int] = []
     for c in comps:
         param = c.params
-        shape = None
+        template = None
         if type(c.kind) is str and type(param) is dict:
             shape = (c.kind, len(c.in_ports), len(c.out_ports), *param, *map(_slot, param.values()))
             if shape not in templates:
                 templates[shape] = _template(shape)
-        if templates[shape] is None or not (ints or set(map(type, chain(c.in_ports, c.out_ports))) <= {int}):
+            template = templates[shape]
+        if template is None or not (ints or set(map(type, chain(c.in_ports, c.out_ports))) <= {int}):
             payload = {"kind": c.kind, "in_ports": list(c.in_ports), "out_ports": list(c.out_ports)}
             payload["params"] = {k: _jsonable(v) for k, v in param.items()}
             texts.append(_json_value(payload, "    ").replace("%", "%%"))
             continue
-        text, order = templates[shape]
+        text, order = template
         texts.append(text)
         values += c.in_ports
         values += c.out_ports
