@@ -426,12 +426,11 @@ def validate(net: Network) -> None:
 def metrics(net: Network) -> CostMetrics:
     """Cost metrics by forward traversal of the port graph."""
     validate(net)
-    comps = net.components
     # fewest and most active layers that light crosses to reach each port
     lo = [0] * net.n_ports
     hi = [0] * net.n_ports
     by_kind: dict[str, list[Component]] = {kind: [] for kind in KINDS}
-    for c in comps:
+    for c in net.components:
         kind, ins, outs = c.kind, c.in_ports, c.out_ports
         by_kind[kind].append(c)
         if kind == "coupler":  # light can take any in -> any out
