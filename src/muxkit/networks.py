@@ -400,7 +400,7 @@ def validate(net: Network) -> None:
                 raise ValueError(f"delay duration must be a finite number >= 0, not {duration!r}")
     n_ports = net.n_ports
     produced = [*net.input_ports, *chain.from_iterable(outs)]
-    ports = [*produced, *net.drop_ports, *chain.from_iterable(ins), *net.output_ports]
+    ports = chain(produced, net.drop_ports, chain.from_iterable(ins), net.output_ports)
     if type(n_ports) is not int or not set(map(type, ports)) <= {int}:
         raise ValueError("n_ports and every port id must be ints")
     # consumed and output ids need no range check: the walk below matches them with produced ids
