@@ -290,6 +290,7 @@ def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):
     [
         ["logic", "--table", "wildcard", "--width", "0", "--photons", "0"],
         ["logic", "--table", "wildcard", "--width", "-1", "--photons", "0"],
+        ["logic", "--table", "wildcard", "--width", "64", "--photons", "32"],
         ["logic", "--table", "encoder", "--width", "0"],
         ["logic", "--table", "encoder", "--width", "-1"],
     ],

@@ -360,6 +360,48 @@ def test_build_gmzi_argument_checks():
         gmzi.build_gmzi((2, 2), offsets=(0.0,))
 
 
+@pytest.mark.parametrize("bad", [[2.7], [True, 2], [np.float64(4.0), 2], [np.True_], ["2"], [0, 2], [-1, -4]])
+def test_every_factor_list_entry_point_takes_ints_only(bad):
+    # 2.7 used to truncate to a 2-mode device; True counted as 1
+    for call in (gmzi.cyclic_spec, gmzi.build_gmzi, gmzi.canonical_spec, gmzi.parallel_gmzi_settings_count):
+        with pytest.raises(ValueError, match="factor"):
+            call(bad)
+    with pytest.raises(ValueError, match="factor"):
+        gmzi.enlarged_gmzi_factorization(*(bad * 2)[:2], 0, 0)
+
+
+def test_device_payload_with_a_float_spec_is_rejected():
+    doc = json.loads(gmzi.device_to_json(gmzi.build_gmzi((2,))))
+    doc["spec"] = [2.7]
+    with pytest.raises(ValueError, match="factor"):
+        gmzi.device_from_json(json.dumps(doc))
+
+
+def test_cyclic_spec_is_the_one_factor_rule():
+    spec = gmzi.cyclic_spec(np.array([4, 2]))
+    assert spec == (4, 2) and {type(n) for n in spec} == {int}
+    assert gmzi.cyclic_spec((3, 3), order=9) == (3, 3)
+    assert gmzi.cyclic_spec(()) == gmzi.cyclic_spec((), order=1) == ()  # the trivial group
+    with pytest.raises(ValueError, match="factor") as err:
+        gmzi.cyclic_spec((3, 3), order=8)
+    assert "order 8" in str(err.value)
+    # a device needs a factor even though the trivial group has none
+    with pytest.raises(ValueError):
+        gmzi.build_gmzi(())
+    dev = gmzi.build_gmzi(np.array([2, 2]))
+    assert dev.factors == (2, 2) and {type(n) for n in dev.factors} == {int}
+
+
+def test_the_cli_default_type_is_the_prime_power_form_of_the_cyclic_group():
+    for n in range(1, 1025):
+        assert gmzi.prime_power_spec(n) == gmzi.classify_gmzi_types(n)[0] == gmzi.canonical_spec((n,))
+
+
+def test_default_factorizations():
+    assert [gmzi.binary_spec(n) for n in (1, 2, 6, 8)] == [(), (2,), (6,), (2, 2, 2)]
+    assert [gmzi.prime_spec(n) for n in (1, 2, 12, 36)] == [(), (2,), (3, 2, 2), (3, 3, 2, 2)]
+
+
 # sha256 of the device algebra and of every network builder's output: device
 # and network JSON are kept by users, so these bytes must not move.  Specs
 # cover non-power-of-two factors; BLAS and exp outputs are rounded to 9

@@ -3,15 +3,15 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muxkit import analytics, gridmux, simkit
-from muxkit.gmzi import _mixed_radix
-from muxkit.gridmux import _default_factors
+from muxkit import analytics, gmzi, gridmux, simkit
+from muxkit.gmzi import _mixed_radix, binary_spec
 
 
 def _occupancy(config, p, seed):
@@ -136,7 +136,7 @@ def test_route_settings_replay():
         for r, c in out.row_sources.items():
             setting = out.column_settings[c]
             rows_of = cfg.column_rows(c)
-            fac = _default_factors(len(rows_of))
+            fac = binary_spec(len(rows_of))
             rad = _mixed_radix(fac)[1].tolist()
             target_pos = rows_of.index(r)
             # undo the shift digit by digit: source digits = target digits - setting
@@ -280,6 +280,69 @@ def test_column_group_factors_must_be_positive():
             gridmux.simulate_grid_yield(cfg, 0.1, trials=4, seed=0, column_group_type=group_type)
 
 
+@pytest.mark.parametrize("group_type", [(2.5, 6.4), (True, 16), (4.0, 4.0), (4, 2, 2, 1.0)])
+def test_column_group_factors_must_be_ints(group_type):
+    # (2.5, 6.4) and (True, 16) multiply to 16 but name no cyclic group
+    cfg = gridmux.default_config()
+    with pytest.raises(ValueError, match="factor"):
+        gridmux.route(cfg, cfg.grid, group_type)
+    with pytest.raises(ValueError, match="factor"):
+        gridmux.simulate_grid_yield(cfg, 0.1, trials=4, seed=0, column_group_type=group_type)
+
+
+def test_float_group_type_is_rejected_after_its_int_twin_is_cached():
+    # (4.0, 4.0) == (4, 4) and hashes the same, so the check must precede the layout cache
+    cfg = gridmux.default_config()
+    gridmux.route(cfg, cfg.grid, (4, 4))
+    gridmux.simulate_grid_yield(cfg, 0.1, trials=4, seed=0, column_group_type=(4, 4))
+    with pytest.raises(ValueError, match="factor"):
+        gridmux.route(cfg, cfg.grid, (4.0, 4.0))
+    with pytest.raises(ValueError, match="factor"):
+        gridmux.simulate_grid_yield(cfg, 0.1, trials=4, seed=0, column_group_type=(4.0, 4.0))
+
+
+def test_group_type_must_fit_every_column():
+    cfg = gridmux.GridMuxConfig(
+        columns=(2, 1), rows=((2, 0), (1, 0)), grid=((True, True), (True, False)), group_size=2, generators=1
+    )
+    with pytest.raises(ValueError, match="order 1"):
+        gridmux.route(cfg, cfg.grid, (2,))
+
+
+def test_zero_size_columns_are_rejected():
+    doc = {"columns": [2, 0, 2], "rows": [[2, 0], [2, 0]], "grid": [[1, 0, 1], [1, 0, 1]], "group_size": 2, "generators": 1}
+    with pytest.raises(ValueError, match="column 1 "):
+        gridmux.GridMuxConfig(
+            columns=(2, 0, 2),
+            rows=((2, 0), (2, 0)),
+            grid=((True, False, True),) * 2,
+            group_size=2,
+            generators=1,
+        )
+    with pytest.raises(ValueError, match="column 1 "):
+        gridmux.config_from_json(json.dumps(doc))
+
+
+def _column_shift_table(factors):
+    """gridmux's table for one column of this type: [a, b] is the setting that moves cell a onto cell b."""
+    n = math.prod(factors)
+    cfg = gridmux.GridMuxConfig(
+        columns=(n,), rows=tuple((1, r) for r in range(n)), grid=((True,),) * n, group_size=1, generators=n
+    )
+    claim = gridmux._layout(cfg, tuple(factors)).claim  # one column: claim[b][0, a] is that setting
+    return np.array([claim[b][0] for b in range(n)]).T
+
+
+def test_column_tables_invert_the_gmzi_routing_table():
+    types = [spec for n in range(1, 65) for spec in gmzi.classify_gmzi_types(n)]
+    types += [binary_spec(n) for n in range(1, 65)]
+    for spec in types:
+        table = gmzi.routing_table(gmzi.build_gmzi(spec or (1,)))
+        n = len(table)
+        a, b = np.indices((n, n))
+        assert np.array_equal(table[_column_shift_table(spec)[a, b], a], b), spec
+
+
 def test_simulate_yield_rejects_bad_p():
     cfg = gridmux.default_config()
     for p in (-1.0, -1e-12, 1.5, float("nan")):
@@ -293,7 +356,7 @@ def _oracle_route(cfg, occupancy, factors=None):
     Returns (group success, column -> setting digits, row -> source column).
     """
     col_rows = [cfg.column_rows(c) for c in range(len(cfg.columns))]
-    fac = [tuple(factors) if factors is not None else _default_factors(len(rows)) for rows in col_rows]
+    fac = [tuple(factors) if factors is not None else binary_spec(len(rows)) for rows in col_rows]
 
     def digits(x, f):  # first factor most significant
         out = []

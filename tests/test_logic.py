@@ -98,6 +98,13 @@ def test_width_below_one_is_rejected():
             logic.wildcard_reduce(width, 0)
 
 
+def test_wildcard_table_size_is_bounded():
+    # C(64, 32) ~ 1.8e18 rows: rejected before any row is built
+    with pytest.raises(ValueError, match="rows"):
+        logic.wildcard_reduce(64, 32)
+    assert len(logic.wildcard_reduce(16, 8).rows) == math.comb(16, 8)
+
+
 def test_csv_golden():
     table = logic.wildcard_reduce(3, 2)
     assert table.to_csv() == (
