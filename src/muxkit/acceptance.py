@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics, gmzi, gridmux, logic, patterns, temporal
 from .linalg import equal_up_to_global_phase, perm_matrix
-from .simkit import estimate, sample_occupancy
+from .simkit import estimate, substream
 
 __all__ = ["CheckResult", "run_all", "reproducibility_probe", "CHECKS"]
 
@@ -374,7 +374,7 @@ def reproducibility_probe() -> str:
     grid_pt = gridmux.simulate_grid_yield(cfg, 0.05, trials=300, seed=11)
     raster = temporal.raster_simulate("one-mux", 64, 0.05, enhanced=True, trials=500, seed=3)
     mc = estimate(lambda gen: float((gen.random(16) < 0.1).any()), trials=2_000, seed=5)
-    occ = sample_occupancy((4, 4), 0.3, seed=9, trial_index=2)
+    occ = substream(9, 2).random((4, 4)) < 0.3
     probe = {
         "pmux_64_005": analytics.p_mux_single(64, 0.05),
         "yield_max_43": list(analytics.max_yield(4, 3)),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import astuple
 from datetime import datetime, timezone
@@ -299,9 +298,7 @@ def _cmd_gmzi(args) -> int:
         _emit_csv(args, ["setting"] + [f"mode{m}" for m in range(6)], rows)
         print(f"orthonormal: {rep.orthonormal_ok} (max deviation {rep.max_gram_deviation:.3e})")
         return 0
-    spec = _parse_ints(args.type) if args.type else gmzi.classify_gmzi_types(args.size)[0]
-    if math.prod(spec) != args.size:
-        raise ValueError(f"type {spec} has order {math.prod(spec)}, but --size is {args.size}")
+    spec = gmzi.cyclic_spec(_parse_ints(args.type), order=args.size) if args.type else gmzi.prime_power_spec(args.size)
     dev = gmzi.build_gmzi(spec)
     if args.verify:
         ok, err = acceptance._check_device(dev)

@@ -35,6 +35,10 @@ __all__ = [
     "StageDecomposition",
     "MuxLemmaReport",
     "classify_gmzi_types",
+    "cyclic_spec",
+    "binary_spec",
+    "prime_spec",
+    "prime_power_spec",
     "canonical_spec",
     "specs_isomorphic",
     "build_gmzi",
@@ -89,9 +93,6 @@ def _factorize(n: int) -> dict[int, int]:
 
 def _partitions(n: int):
     """Integer partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
     def rec(remaining, cap):
         if remaining == 0:
             yield ()
@@ -114,29 +115,46 @@ def classify_gmzi_types(n_modes: int) -> list[tuple[int, ...]]:
         raise ValueError("n_modes must be >= 1")
     if n_modes == 1:
         return [(1,)]
-    per_prime: list[list[tuple[int, ...]]] = []
-    for p, e in sorted(_factorize(n_modes).items()):
-        per_prime.append([tuple(p ** part for part in parts) for parts in _partitions(e)])
-    specs = set()
-    for combo in itertools.product(*per_prime):
-        factors = tuple(sorted((f for group in combo for f in group), reverse=True))
-        specs.add(factors)
+    per_prime = [[tuple(p ** k for k in parts) for parts in _partitions(e)] for p, e in _factorize(n_modes).items()]
+    specs = {tuple(sorted(sum(combo, ()), reverse=True)) for combo in itertools.product(*per_prime)}
     return sorted(specs, reverse=True)
+
+
+def cyclic_spec(factors, order: int | None = None) -> tuple[int, ...]:
+    """Check a list of cyclic factor orders, the one rule for every entry point; return it as ints.
+
+    Factors are ints (numpy ints too, not bools) >= 1 that multiply to order
+    when it is given.  () is the trivial group, of order 1.
+    """
+    spec = tuple(factors)
+    ints = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in spec)
+    if not ints or order not in (None, math.prod(spec)):
+        at = "" if order is None else f" {order}"
+        raise ValueError(f"cyclic factors must be ints >= 1 whose product is the group order{at}, got {spec}")
+    return tuple(map(int, spec))
+
+
+# Default factorizations of n modes, one per caller: changing one moves its outputs.
+
+def binary_spec(n: int) -> tuple[int, ...]:
+    """The grid mux's column type: (2,) * k for n = 2^k (() for one cell), else the single cycle (n,)."""
+    return (2,) * (n.bit_length() - 1) if n > 0 and n & (n - 1) == 0 else (n,)
+
+
+def prime_spec(n: int) -> tuple[int, ...]:
+    """The network builders' switch-block type: every prime factor of n, with repeats, descending."""
+    return tuple(sorted((p for p, e in _factorize(n).items() for _ in range(e)), reverse=True))
+
+
+def prime_power_spec(n: int) -> tuple[int, ...]:
+    """The CLI's device type for --size n: the cyclic group of order n in prime-power form, (4, 3) for 12."""
+    return classify_gmzi_types(n)[0]
 
 
 def canonical_spec(factors) -> tuple[int, ...]:
     """Prime-power canonical form of a factor list (isomorphism invariant)."""
-    out: list[int] = []
-    for n in factors:
-        if n < 1:
-            raise ValueError("factors must be >= 1")
-        if n == 1:
-            continue
-        for p, e in _factorize(n).items():
-            out.append(p ** e)
-    if not out:
-        return (1,)
-    return tuple(sorted(out, reverse=True))
+    out = sorted((p ** e for n in cyclic_spec(factors) for p, e in _factorize(n).items()), reverse=True)
+    return tuple(out) or (1,)
 
 
 def specs_isomorphic(a, b) -> bool:
@@ -194,9 +212,9 @@ def build_gmzi(factors, offsets=None) -> GmziDevice:
     they change the physically applied settings (see active_setting_angles)
     but not the implemented permutations, up to per-setting global phases.
     """
-    factors = tuple(int(n) for n in factors)
-    if not factors or any(n < 1 for n in factors):
-        raise ValueError("factors must be a non-empty list of integers >= 1")
+    factors = cyclic_spec(factors)
+    if not factors:
+        raise ValueError("a device needs at least one cyclic factor")
     n_modes = math.prod(factors)
     if offsets is not None:
         offsets = np.asarray(offsets, dtype=float)
@@ -305,11 +323,16 @@ def routing_table(dev: GmziDevice) -> np.ndarray:
     4,096 modes: the table is N^2 int64s, 128 MiB at N = 4,096.
     """
     _check_table_modes(dev, "routing")
-    digits, place = _mixed_radix(dev.factors)
+    return _group_table(dev.factors)
+
+
+def _group_table(factors: tuple[int, ...]) -> np.ndarray:
+    """(N, N) group table on the factors, [s, a] = a shifted by s; not cached, as it is 128 MiB at N = 4,096."""
+    digits, place = _mixed_radix(factors)
     # ((digits[:, None] + digits[None]) % factors) @ place, one factor at a
     # time so no (N, N, r) intermediate is ever allocated
-    table = np.zeros((dev.n_modes, dev.n_modes), dtype=np.int64)
-    for l, n in enumerate(dev.factors):
+    table = np.zeros((len(digits), len(digits)), dtype=np.int64)
+    for l, n in enumerate(factors):
         table += (np.add.outer(digits[:, l], digits[:, l]) % n) * place[l]
     return table
 
@@ -320,9 +343,9 @@ def parallel_gmzi_settings_count(partition) -> int:
     Each block of size b contributes b settings, so a partition
     [b1, ..., br] of the modes allows b1*...*br joint configurations.
     """
-    sizes = [int(b) for b in partition]
-    if not sizes or any(b < 1 for b in sizes):
-        raise ValueError("block sizes must be >= 1")
+    sizes = cyclic_spec(partition)
+    if not sizes:
+        raise ValueError("a partition needs at least one block")
     return math.prod(sizes)
 
 
@@ -640,8 +663,7 @@ def enlarged_gmzi_factorization(n1: int, n2: int, k1: int, k2: int):
     exactly; stage_1 = C^{k1} ⊗ I and stage_2 = I ⊗ C^{k2}.  The stages can
     be driven independently, giving n1 * n2 jointly addressable settings.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("factor orders must be >= 1")
+    n1, n2 = cyclic_spec((n1, n2))
     c1 = cyclic_perm(n1, k1 % n1)
     c2 = cyclic_perm(n2, k2 % n2)
     stage_1 = np.kron(c1, np.eye(n2))

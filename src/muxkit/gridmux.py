@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import analytics
-from .gmzi import _mixed_radix
+from .gmzi import _group_table, _mixed_radix, binary_spec, cyclic_spec
 from .simkit import Estimate, reduce_values, run_trials
 
 __all__ = [
@@ -54,6 +53,8 @@ class GridMuxConfig:
             if sum(self.grid[i]) != size:
                 raise ValueError(f"row {i} size {size} != marked cells")
         for c, size in enumerate(self.columns):
+            if size < 1:
+                raise ValueError(f"column {c} size {size} must be >= 1")
             if sum(self.grid[r][c] for r in range(n_rows)) != size:
                 raise ValueError(f"column {c} size {size} != marked cells")
 
@@ -128,28 +129,6 @@ def config_from_json(text: str) -> GridMuxConfig:
 # routing
 
 
-def _default_factors(size: int) -> tuple[int, ...]:
-    if size & (size - 1) == 0 and size > 0:
-        return (2,) * (size.bit_length() - 1)
-    # fall back to a single cyclic stage for non powers of two
-    return (size,)
-
-
-@functools.lru_cache(maxsize=64)
-def _shift_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Digit tuples of every position, and the (N, N) shift-index table.
-
-    Positions and settings share one mixed-radix numbering (first factor most
-    significant).  ``table[a, b]`` is the setting that moves position a onto
-    position b, digit-wise (b - a) mod factors.  The same entry, with a read
-    as a setting, is the source position that setting moves onto b.
-    """
-    digits, place = _mixed_radix(factors)
-    table = ((digits[None, :, :] - digits[:, None, :]) % np.array(factors, dtype=np.int64)) @ place
-    table.flags.writeable = False  # shared by every caller through the cache
-    return tuple(map(tuple, digits.tolist())), table
-
-
 @dataclass(frozen=True)
 class _Layout:
     """Per-(config, factors) routing tables.
@@ -180,18 +159,13 @@ def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
     claim = np.full((n_rows, n_cols, n_rows), -1, dtype=np.int64)  # [r, c, q]
     digits = []
     for c, size in enumerate(config.columns):
-        f = factors if factors is not None else _default_factors(size)
-        if math.prod(f) != size:
-            raise ValueError("column group order must equal column size")
-        if min(f, default=1) < 1:
-            raise ValueError(f"column group factors must be >= 1, got {f}")
-        col_digits, table = _shift_table(f)
+        f = factors if factors is not None else binary_spec(size)
+        # inverse[b, a] = b - a: the setting moving position a onto b, and the source that setting a moves onto b
+        inverse = np.argsort(_group_table(f), axis=0)
         rows = np.array(config.column_rows(c), dtype=np.int64)
-        digits.append(col_digits)
-        # table[a, b]: setting moving position a onto b; read with a as a
-        # setting, the source position it moves onto b
-        source[rows, :size, c] = (rows[table] * n_cols + c).T
-        claim[rows[:, None], c, rows[None, :]] = table.T * n_cols + c
+        digits.append(tuple(map(tuple, _mixed_radix(f)[0].tolist())))
+        source[rows, :size, c] = rows[inverse] * n_cols + c
+        claim[rows[:, None], c, rows[None, :]] = inverse * n_cols + c
     cols = tuple(np.array(config.row_columns(r), dtype=np.int64) for r in range(n_rows))
     source = tuple(source[r].ravel() for r in range(n_rows))
     claim = tuple(claim[r, cols[r]] for r in range(n_rows))
@@ -200,6 +174,15 @@ def _layout(config: GridMuxConfig, factors: tuple[int, ...] | None) -> _Layout:
         table.flags.writeable = False  # shared by every caller through the cache
     groups = tuple(range(g * config.group_size, (g + 1) * config.group_size) for g in range(config.generators))
     return _Layout(groups, tuple(digits), marked, cols, source, claim)
+
+
+def _checked_layout(config: GridMuxConfig, column_group_type: Sequence[int] | None) -> _Layout:
+    """`_layout` after checking an explicit group type on each column; uncached, as (4.0, 4.0) hits (4, 4)'s entry."""
+    if column_group_type is not None:
+        for size in dict.fromkeys(config.columns):
+            cyclic_spec(column_group_type, order=size)
+        column_group_type = cyclic_spec(column_group_type)
+    return _layout(config, column_group_type)
 
 
 @dataclass(frozen=True)
@@ -222,7 +205,7 @@ def route(
     claimed, its shift chosen to move its lowest occupied cell into the row.
     A group that cannot fill some row releases every column it claimed.
     """
-    layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
+    layout = _checked_layout(config, column_group_type)
     occ = np.array(occupancy, dtype=bool)
     if occ.shape != (len(config.rows), len(config.columns)):
         raise ValueError(f"occupancy shape {occ.shape} does not match the grid")
@@ -308,7 +291,7 @@ def simulate_grid_yield(
     Empty trials contribute zero.  Cells are sampled in row-major order over
     the marked cells so results are reproducible per (seed, trial).
     """
-    layout = _layout(config, None if column_group_type is None else tuple(column_group_type))
+    layout = _checked_layout(config, column_group_type)
     mask = layout.marked
 
     def kernel(u: np.ndarray) -> np.ndarray:

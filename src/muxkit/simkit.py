@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytics import check_probability
 
-__all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "sample_occupancy", "estimate", "reduce_values"]
+__all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "estimate", "reduce_values"]
 
 _BLOCK_BYTES = 1 << 20  # cap on one block of uniforms
 
@@ -103,13 +103,6 @@ def run_trials(
             streams.trial(start + i).random(out=row)
         out.append(kernel(rows))
     return np.concatenate(out)
-
-
-def sample_occupancy(shape, p: float, seed: int, trial_index: int) -> np.ndarray:
-    """Boolean occupancy array: independent Bernoulli(p) per cell for one trial."""
-    check_probability(p)
-    rng = substream(seed, trial_index)
-    return rng.random(shape) < p
 
 
 def estimate(fn: Callable[[np.random.Generator], float], trials: int, seed: int) -> Estimate:

@@ -39,19 +39,6 @@ def test_estimate_rejects_single_trial():
         simkit.estimate(lambda rng: 0.0, trials=1, seed=0)
 
 
-def test_sample_occupancy():
-    occ = simkit.sample_occupancy((8, 8), 0.25, seed=5, trial_index=3)
-    assert occ.shape == (8, 8) and occ.dtype == bool
-    assert np.array_equal(occ, simkit.sample_occupancy((8, 8), 0.25, seed=5, trial_index=3))
-    assert simkit.sample_occupancy((4, 4), 0.0, seed=1, trial_index=0).sum() == 0
-    assert simkit.sample_occupancy((4, 4), 1.0, seed=1, trial_index=0).all()
-    with pytest.raises(ValueError):
-        simkit.sample_occupancy((4, 4), 1.5, seed=1, trial_index=0)
-    # empirical rate over many cells close to p
-    big = simkit.sample_occupancy(100_000, 0.25, seed=9, trial_index=0)
-    assert abs(big.mean() - 0.25) < 0.01
-
-
 def test_trial_streams_equal_substreams():
     streams = simkit.TrialStreams(42)
     for n in (1, 5, 96, 256):
