@@ -222,6 +222,7 @@ def test_unknown_flag_exits_2():
         (["gridmux", "--trials", "1"], "trials"),
         (["search", "--circuit", "binning", "--n", "0"], "n must be"),
         (["net", "--topology", "spanke", "--size", "0", "--m", "1"], "size"),
+        (["net", "--topology", "spanke", "--size", "100000", "--m", "1000"], "active elements"),
         (["gmzi", "--size", "1000000"], "angle table"),
         (["gmzi", "--size", "1000000", "--verify"], "table"),
         (["analyze", "--curve", "footprint", "--n", "0"], "n_sources >= 1"),
