@@ -1,6 +1,7 @@
 """Switch-network builders: frozen cost anchors and closed-form sweeps."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -170,6 +171,18 @@ def test_builders_reject_bad_arguments():
         networks.build_spanke(4, 5)
     with pytest.raises(ValueError):
         networks.build_concatenated_gmzi(4, 6)
+    # over the active-element bound, refused before a port is allocated
+    for build, args in [
+        (networks.build_log_tree, (2, 10**6)),
+        (networks.build_chain, (10**6, 2)),
+        (networks.build_delay_network, (2, 10**6)),
+        (networks.build_storage_loop, (10**6, 2)),
+        (networks.build_spanke, (100000, 1000)),
+        (networks.build_spanke, (100000, 1000, True)),
+        (networks.build_concatenated_gmzi, (10**6, 1)),
+    ]:
+        with pytest.raises(ValueError, match="active elements"):
+            build(*args)
 
 
 def test_validate_passes_for_all_builders():
@@ -541,3 +554,80 @@ def test_spanke_64x16_json_is_pinned(optimized, digest):
     text = networks.network_to_json(net)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert networks.network_to_json(networks.network_from_json(text)) == text
+
+
+def test_builder_guards_count_active_elements_exactly(monkeypatch):
+    # each guard's closed form is the n_active that metrics counts: the network
+    # builds at that bound and is refused one below it; the cases are built
+    # first, because the generator builds under the patched bound
+    cases = list(_builder_cases())
+    assert len(cases) > 400
+    for net in cases:
+        n_active = networks.metrics(net).n_active
+        build = networks.BUILDERS[net.name]
+        monkeypatch.setattr(networks, "_MAX_ACTIVE", n_active)
+        assert len(build(**net.params).components) == len(net.components)
+        monkeypatch.setattr(networks, "_MAX_ACTIVE", n_active - 1)
+        with pytest.raises(ValueError, match="active elements"):
+            build(**net.params)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused inside the builders and the parser
+
+
+def _set_collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_network_calls_restore_the_collector_state(enabled):
+    text = networks.network_to_json(networks.build_log_tree(4, 4))
+    calls = [lambda build=build, args=BUILDER_SIZES[name][0]: build(*args) for name, build in networks.BUILDERS.items()]
+    calls.append(lambda: networks.network_from_json(text))
+    failing = [
+        lambda: networks.network_from_json(_tampered(networks.build_log_tree(4, 4), 0, kind="teleporter")),
+        lambda: networks.build_spanke(100000, 1000),
+    ]
+    was = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        for call in calls:
+            call()
+            assert gc.isenabled() is enabled
+        for call in failing:
+            with pytest.raises(ValueError):
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+
+
+def test_no_collection_starts_inside_network_calls():
+    # build_spanke(16, 4) makes 685 components, enough to set off young
+    # collections; gc.collect() empties the young generation first, so none
+    # can start between the call and the pause
+    starts = []
+    inside = [False]
+
+    def hook(phase, info):
+        if phase == "start" and inside[0]:
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        gc.enable()
+        gc.collect()
+        inside[0] = True
+        net = networks.build_spanke(16, 4)
+        inside[0] = False
+        text = networks.network_to_json(net)
+        gc.collect()
+        inside[0] = True
+        networks.network_from_json(text)
+        inside[0] = False
+    finally:
+        gc.callbacks.remove(hook)
+        _set_collector(was)
+    assert starts == []
