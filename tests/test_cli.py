@@ -222,7 +222,6 @@ def test_unknown_flag_exits_2():
         (["gridmux", "--trials", "1"], "trials"),
         (["search", "--circuit", "binning", "--n", "0"], "n must be"),
         (["net", "--topology", "spanke", "--size", "0", "--m", "1"], "size"),
-        (["net", "--topology", "spanke", "--size", "100000", "--m", "1000"], "active elements"),
         (["gmzi", "--size", "1000000"], "angle table"),
         (["gmzi", "--size", "1000000", "--verify"], "table"),
         (["analyze", "--curve", "footprint", "--n", "0"], "n_sources >= 1"),
@@ -231,6 +230,7 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "footprint", "--p-group", "0"], "p_group in"),
         (["analyze", "--curve", "footprint", "--p-out", "1"], "p_out in"),
         (["analyze", "--curve", "footprint", "--n", "100000"], "p_group / 4 < 1"),
+        (["net", "--topology", "spanke", "--size", "100000", "--m", "1000"], "active elements"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
