@@ -231,6 +231,7 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "footprint", "--p-out", "1"], "p_out in"),
         (["analyze", "--curve", "footprint", "--n", "100000"], "p_group / 4 < 1"),
         (["net", "--topology", "spanke", "--size", "100000", "--m", "1000"], "active elements"),
+        (["search", "--circuit", "binning", "--n", "5000"], "n must be <="),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
@@ -277,6 +278,9 @@ def test_malformed_config_file_is_a_clean_error(tmp_path, capsys):
         ["temporal", "--scheme", "debruijn", "--modes", "3", "--bins", "-2", "--p-range", "0.1:0.2:0.1"],
         ["temporal", "--scheme", "debruijn", "--emit-sequence", "--word-length", "0"],
         ["temporal", "--scheme", "debruijn", "--modes", "5", "--bins", "5", "--tetris", "--p-range", "0.2"],
+        ["temporal", "--scheme", "perm", "--size", "100000000"],
+        ["temporal", "--scheme", "gather", "--modes", "1000000000", "--trials", "2", "--bins", "1", "--p-range", "0.1"],
+        ["temporal", "--scheme", "gather", "--modes", "4", "--group-size", "4", "--bins", "1000000000"],
     ],
 )
 def test_invalid_temporal_arguments_are_clean_errors(argv, capsys):
