@@ -9,6 +9,7 @@ are deterministic functions of the manifest parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -262,7 +263,7 @@ def _cmd_temporal(args) -> int:
         header = ["modes", "group_size", "bins", "p", "k_groups", "prob_at_least_k", "stderr", "seed"]
         _emit_csv(args, header, rows)
     elif args.scheme == "perm":
-        perm = _parse_ints(args.perm) if args.perm else tuple(range(args.size))
+        perm = _parse_ints(args.perm) if args.perm else range(args.size)
         sched = temporal.temporal_permutation(args.size, perm, variant=args.variant)
         arrivals = temporal.replay_temporal_permutation(sched)
         rows = []
@@ -385,6 +386,7 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache  # built once per process: parse_args returns a fresh namespace and no default is mutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muxkit",

@@ -11,6 +11,14 @@ where it must be 1.  An input packed into an integer x, port i in bit i,
 matches a row exactly when x & care == value, at any width.  Rows are
 grouped by care mask and then by value, so a lookup costs one dict probe per
 distinct care mask rather than one test per row.
+
+A small table answers a lookup with one list index instead: at its first
+match it builds a dense index from every packed input x = 0 .. 2^width - 1
+to the ascending tuple of rows x matches.  The index is built only when both
+its 2^width slots and its sum(len(rows) * 2^(width - popcount(care))) row
+entries are within _MAX_INDEX = 65,536 (any table of width <= 16 whose rows
+overlap little, such as every wildcard-reduced one); a wider or heavily
+overlapping table keeps the per-care-mask probe.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = ["TruthTable", "priority_encode", "wildcard_reduce"]
 
 _MAX_SWEEP_WIDTH = 24  # match_counts holds 2^width int64 counters (128 MiB at 24)
 _MAX_WILDCARD_ROWS = 1 << 16  # wildcard_reduce builds this many rows in about 0.7 s on a 2-core machine
+_MAX_INDEX = 1 << 16  # slots and row entries of a dense match index; wildcard_reduce(16, 8) builds its in about 40 ms
 
 
 def priority_encode(bits: Sequence[bool]) -> int | None:
@@ -67,16 +76,53 @@ class TruthTable:
         """
         return [1 << i for i in range(self.width)]
 
+    @functools.cached_property
+    def _index(self) -> list[tuple[int, ...]] | None:
+        """Ascending rows matched by each packed input x, or None when over _MAX_INDEX.
+
+        Built at the first match.  Rows are taken in index order and row i
+        is written into slot value | s for every submask s of its wildcard
+        bits, so each (input, row) match is written once and every slot
+        comes out ascending.
+        """
+        if self.width >= _MAX_INDEX.bit_length():  # 2^width slots > _MAX_INDEX
+            return None
+        entries = sum(
+            len(rows) << (self.width - care.bit_count())
+            for care, by_value in self._groups.items()
+            for rows in by_value.values()
+        )
+        if entries > _MAX_INDEX:
+            return None
+        masks = [(0, 0)] * len(self.rows)
+        for care, by_value in self._groups.items():
+            for value, rows in by_value.items():
+                for i in rows:
+                    masks[i] = care, value
+        full = (1 << self.width) - 1
+        slots: list[list[int]] = [[] for _ in range(full + 1)]
+        for i, (care, value) in enumerate(masks):
+            wild = s = full ^ care
+            while True:
+                slots[value | s].append(i)
+                if not s:
+                    break
+                s = (s - 1) & wild
+        return [tuple(slot) for slot in slots]
+
     def matches(self, pattern: str, bits: Sequence[bool]) -> bool:
         if not len(pattern) == len(bits) == self.width:
             raise ValueError(f"pattern has {len(pattern)} and input {len(bits)} symbols, table width is {self.width}")
         return all(c == "*" or bool(int(c)) == bool(b) for c, b in zip(pattern, bits))
 
     def match_rows(self, bits: Sequence[bool]) -> list[int]:
-        """Indices of all rows matching the input (conflict checks), ascending."""
+        """Indices of all rows matching the input (conflict checks), ascending, in a fresh list."""
         if len(bits) != self.width:
             raise ValueError(f"input has {len(bits)} bits, table width is {self.width}")
         x = sum(compress(self._weights, bits))
+        index = self._index
+        if index is not None:
+            return list(index[x])
         hits = [i for care, by_value in self._groups.items() for i in by_value.get(x & care, ())]
         hits.sort()
         return hits

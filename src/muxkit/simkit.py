@@ -11,7 +11,8 @@ trials, row i of a block starting at trial ``start`` being the uniforms of
 ``substream(seed, start + i)``; run one kernel over the block;
 reduce the per-trial values with ``reduce_values``.  A block holds at most
 ``_BLOCK_BYTES`` (1 MiB) of doubles, or a single trial when one trial is
-larger, so memory stays flat however many trials run.
+larger, so memory stays flat however many trials run.  One trial may draw
+at most ``_MAX_TRIAL_UNIFORMS`` (4,194,304) uniforms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .analytics import check_probability
 __all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "estimate", "reduce_values"]
 
 _BLOCK_BYTES = 1 << 20  # cap on one block of uniforms
+_MAX_TRIAL_UNIFORMS = 1 << 22  # cap on one trial's uniforms (32 MiB of doubles)
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,16 @@ def run_trials(
     the block to ``kernel``, which returns one row of output per trial.
     ``chunk`` keeps a block within ``_BLOCK_BYTES``, or at one trial when
     a single trial is larger.  Checks the arguments every simulator
-    shares: p in [0, 1] and at least two trials.
+    shares: p in [0, 1], at least two trials, and at most
+    ``_MAX_TRIAL_UNIFORMS`` (4,194,304) uniforms in one trial.
     """
     check_probability(p)
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    chunk = min(trials, max(1, _BLOCK_BYTES // (8 * max(1, math.prod(shape)))))
+    size = math.prod(shape)
+    if size > _MAX_TRIAL_UNIFORMS:
+        raise ValueError(f"a trial of shape {shape} draws over {_MAX_TRIAL_UNIFORMS} uniforms")
+    chunk = min(trials, max(1, _BLOCK_BYTES // (8 * max(1, size))))
     block = np.empty((chunk, *shape), dtype=np.float64)
     streams = TrialStreams(seed)
     out = []

