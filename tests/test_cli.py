@@ -232,6 +232,12 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "footprint", "--n", "100000"], "p_group / 4 < 1"),
         (["net", "--topology", "spanke", "--size", "100000", "--m", "1000"], "active elements"),
         (["search", "--circuit", "binning", "--n", "5000"], "n must be <="),
+        (["analyze", "--curve", "pmux", "--n-range", "8:16:nan"], "finite"),
+        (["analyze", "--curve", "pmux", "--n-range", "nan:16:1"], "finite"),
+        (["analyze", "--curve", "pmux", "--n-range=-inf:8:1"], "finite"),
+        (["analyze", "--curve", "yield", "--lam-range", "1:inf:nan"], "finite"),
+        (["gridmux", "--p-range", "0:1:nan", "--trials", "2"], "finite"),
+        (["temporal", "--scheme", "debruijn", "--p-range", "0.1:inf:nan"], "finite"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
