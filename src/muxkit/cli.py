@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import astuple
 from datetime import datetime, timezone
@@ -23,6 +24,8 @@ import numpy as np
 from . import __version__, acceptance, analytics, gmzi, gridmux, logic, networks, patterns, temporal
 
 __all__ = ["main"]
+
+_MAX_RANGE_POINTS = 1 << 16  # points of one lo:hi:step range; the largest a perfbench run asks for is 64
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +70,24 @@ def _emit_csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> 
 
 
 def _parse_range(spec: str, integer: bool = False) -> list:
-    """lo:hi:step inclusive grid, or a single value."""
+    """lo:hi:step inclusive grid of at most _MAX_RANGE_POINTS points, or a single value."""
     parts = spec.split(":")
     if len(parts) == 1:
         return [int(parts[0]) if integer else float(parts[0])]
     if len(parts) != 3:
         raise ValueError(f"range must be 'lo:hi:step' or a single value, got {spec!r}")
     lo, hi, step = (float(x) for x in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"range needs finite lo, hi and step, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ValueError("range needs step > 0 and hi >= lo")
+    end = hi + 1e-9 * max(1.0, abs(hi))
+    # counted with the loop's own end, so a step too small to move x is refused too
+    if (end - lo) / step >= _MAX_RANGE_POINTS:
+        raise ValueError(f"range {spec!r} has more than {_MAX_RANGE_POINTS} points")
     out = []
     x = lo
-    while x <= hi + 1e-9 * max(1.0, abs(hi)):
+    while x <= end:
         out.append(int(round(x)) if integer else round(x, 12))
         x += step
     return out

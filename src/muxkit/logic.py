@@ -8,9 +8,9 @@ wildcarded, cutting the table to C(B, n) rows.
 A table compiles each pattern once to a pair of integer masks (care,
 value): bit i of care is set where port i is not a wildcard, bit i of value
 where it must be 1.  An input packed into an integer x, port i in bit i,
-matches a row exactly when x & care == value, at any width.  Rows are
-grouped by care mask and then by value, so a lookup costs one dict probe per
-distinct care mask rather than one test per row.
+matches a row exactly when x & care == value, at any width.  The pairs are
+kept per row, and rows grouped by care mask and then by value, so a lookup
+costs one dict probe per distinct care mask rather than one test per row.
 
 A small table answers a lookup with one list index instead: at its first
 match it builds a dense index from every packed input x = 0 .. 2^width - 1
@@ -57,13 +57,17 @@ class TruthTable:
     default_outputs: tuple[int, ...]
 
     def __post_init__(self):
+        masks: list[tuple[int, int]] = []
         groups: dict[int, dict[int, list[int]]] = {}
         for i, (pattern, _) in enumerate(self.rows):
             if len(pattern) != self.width or set(pattern) - {"0", "1", "*"}:
                 raise ValueError(f"bad pattern {pattern!r}")
             rev = pattern[::-1]  # port i in bit i
             care = int("0" + rev.replace("0", "1").replace("*", "0"), 2)
-            groups.setdefault(care, {}).setdefault(int("0" + rev.replace("*", "0"), 2), []).append(i)
+            value = int("0" + rev.replace("*", "0"), 2)
+            masks.append((care, value))
+            groups.setdefault(care, {}).setdefault(value, []).append(i)
+        object.__setattr__(self, "_masks", masks)  # (care, value) per row; not a field
         object.__setattr__(self, "_groups", groups)  # {care: {value: rows}}; not a field
 
     @functools.cached_property
@@ -87,21 +91,11 @@ class TruthTable:
         """
         if self.width >= _MAX_INDEX.bit_length():  # 2^width slots > _MAX_INDEX
             return None
-        entries = sum(
-            len(rows) << (self.width - care.bit_count())
-            for care, by_value in self._groups.items()
-            for rows in by_value.values()
-        )
-        if entries > _MAX_INDEX:
+        if sum(1 << (self.width - care.bit_count()) for care, _ in self._masks) > _MAX_INDEX:
             return None
-        masks = [(0, 0)] * len(self.rows)
-        for care, by_value in self._groups.items():
-            for value, rows in by_value.items():
-                for i in rows:
-                    masks[i] = care, value
         full = (1 << self.width) - 1
         slots: list[list[int]] = [[] for _ in range(full + 1)]
-        for i, (care, value) in enumerate(masks):
+        for i, (care, value) in enumerate(self._masks):
             wild = s = full ^ care
             while True:
                 slots[value | s].append(i)

@@ -1,7 +1,8 @@
 """Builders and cost metrics for composite switch-network topologies.
 
 Networks are port graphs: components consume and produce integer port ids,
-appended in topological order.  Every n-mode switch block expands into
+appended in topological order.  A builder appends each `Component` to one list,
+which `finish` wraps in a `Network`.  Every n-mode switch block expands into
 primitive components (passive interference blocks, one active phase shifter
 per mode, crossings), so cost metrics come from graph traversal rather than
 from the closed-form formulas they are tested against.
@@ -25,7 +26,7 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -119,15 +120,12 @@ class CostMetrics:
 
 
 class _Builder:
-    """A network under construction, held as columns until `finish`."""
+    """A network under construction: its components in order, and the next free port id."""
 
     def __init__(self, name: str, **params):
         self.name = name
         self.params = params
-        self.kind_counts: list[tuple[str, int, int]] = []  # (kind, in count, out count) per component
-        self.comp_params: list[dict] = []
-        self.in_ports: list[int] = []  # flat, component after component
-        self.out_ports: list[int] = []
+        self.comps: list[Component] = []
         self.inputs: list[int] = []
         self.drops: list[int] = []
         self._next = 0
@@ -146,10 +144,7 @@ class _Builder:
 
     def add(self, kind: str, in_ports, n_out: int, **params) -> list[int]:
         outs = self._take(n_out)
-        self.kind_counts.append((kind, len(in_ports), n_out))
-        self.comp_params.append(params)
-        self.in_ports += in_ports
-        self.out_ports += outs
+        self.comps.append(Component(kind, tuple(in_ports), tuple(outs), params))
         return outs
 
     def drop(self, ports) -> None:
@@ -158,18 +153,9 @@ class _Builder:
             self.drops.append(p)
 
     def finish(self, output_ports) -> Network:
-        ins, outs = iter(self.in_ports), iter(self.out_ports)
         return Network(
-            name=self.name,
-            components=tuple(
-                Component(kind, tuple(islice(ins, n_in)), tuple(islice(outs, n_out)), params)
-                for (kind, n_in, n_out), params in zip(self.kind_counts, self.comp_params)
-            ),
-            input_ports=tuple(self.inputs),
-            output_ports=tuple(output_ports),
-            drop_ports=tuple(self.drops),
-            n_ports=self._next,
-            params=self.params,
+            name=self.name, components=tuple(self.comps), input_ports=tuple(self.inputs),
+            output_ports=tuple(output_ports), drop_ports=tuple(self.drops), n_ports=self._next, params=self.params,
         )
 
 
@@ -221,10 +207,10 @@ def _add_switch_block(b: _Builder, in_ports) -> list[int]:
     """Stamp the n-mode switch block onto in_ports.
 
     Each block size is expanded once per builder, on template ports 0..n-1
-    for its inputs and n.. for its own.  Stamping maps template port r to
-    ports[r], which hands out the same fresh ids, in the same order, as
-    expanding the block again would.  Every stamped component gets its own
-    params dict and crossing mapping list.
+    for its inputs and n.. for its own.  Stamping copies each template
+    `Component` with port r mapped to ports[r], which hands out the same fresh
+    ids, in the same order, as expanding the block again would.  Every stamped
+    component gets its own params dict and crossing mapping list.
     """
     n = len(in_ports)
     if n not in b._blocks:
@@ -232,14 +218,12 @@ def _add_switch_block(b: _Builder, in_ports) -> list[int]:
         b._blocks[n] = (t, _expand_switch_block(t, t.new_input(n)))
     t, t_outs = b._blocks[n]
     ports = list(in_ports) + b._take(t._next - n)
-    b.kind_counts += t.kind_counts
-    b.in_ports += map(ports.__getitem__, t.in_ports)
-    b.out_ports += map(ports.__getitem__, t.out_ports)
-    fresh = [p.copy() for p in t.comp_params]
-    for p in fresh:
-        if "mapping" in p:
-            p["mapping"] = p["mapping"].copy()
-    b.comp_params += fresh
+    at = ports.__getitem__
+    for c in t.comps:
+        params = c.params.copy()
+        if "mapping" in params:
+            params["mapping"] = params["mapping"].copy()
+        b.comps.append(Component(c.kind, tuple(map(at, c.in_ports)), tuple(map(at, c.out_ports)), params))
     return [ports[r] for r in t_outs]
 
 

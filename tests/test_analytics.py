@@ -24,6 +24,8 @@ def test_p_mux_single_frozen_and_limits():
     assert analytics.p_mux_single(64, 0.05) == pytest.approx(0.9624758607888839, abs=1e-15)
     with pytest.raises(ValueError):
         analytics.p_mux_single(16, 1.2)
+    with pytest.raises(ValueError, match="n_sources"):
+        analytics.p_mux_single(-1, 0.1)
 
 
 def test_group_pmux_against_exact_tails():
@@ -47,6 +49,9 @@ def test_group_pmux_against_exact_tails():
     )
     with pytest.raises(ValueError):
         analytics.naive_group_pmux(3, 0.1, 4)
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            analytics.optimal_group_pmux(16, 0.1, m)
 
 
 def test_optimal_dominates_naive_on_grid():
@@ -139,6 +144,10 @@ def test_yield_multi_generator_bounds_and_maxima():
     assert abs(y2 - 0.76) <= 0.01
     assert abs(y3 - 0.83) <= 0.01
     assert lam1 < lam2 < lam3
+    for m, g in ((0, 1), (4, 0), (-1, 2)):
+        for sharing in (False, True):
+            with pytest.raises(ValueError, match="m >= 1 and g >= 1"):
+                analytics.yield_multi_generator(5.0, m, g, sharing)
 
 
 def test_six_photon_groups_keep_the_ordering():
@@ -166,6 +175,9 @@ def test_required_sources_ratio():
     assert 2.0 < r9 < 2.6
     with pytest.raises(ValueError):
         analytics.required_sources_ratio(0.0, 0.99, 4)
+    for target in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="target must be in"):
+            analytics.required_sources_ratio(0.05, target, 4)
 
 
 def test_squeezed_source():
@@ -221,6 +233,9 @@ def test_p4_blocking_tail_oracle_and_dominance():
     assert analytics.p4_blocking(8, 0.05) == pytest.approx(9.036878906265589e-05, rel=1e-12)
     for p in np.linspace(0.0, 0.25, 11):
         assert analytics.p4_blocking(8, p) >= analytics.p4_ballistic(8, p) - 1e-15
+    for n in (9, 11, 6, 0):
+        with pytest.raises(ValueError, match="even n_sources >= 8"):
+            analytics.p4_blocking(n, 0.1)
 
 
 def test_p4_with_premux():
@@ -342,6 +357,12 @@ def test_enlarged_gmzi_mux_reduction():
     assert analytics.enlarged_gmzi_mux_reduction(q_base=0.125, q_boosted=0.125) == pytest.approx(1.0)
     # target-independent in the continuous form
     assert analytics.enlarged_gmzi_mux_reduction(target=0.5) == pytest.approx(r, rel=1e-12)
+    for target in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="target must be in"):
+            analytics.enlarged_gmzi_mux_reduction(target=target)
+    for kw in (dict(q_base=0.0), dict(q_base=1.0), dict(q_boosted=0.0), dict(q_boosted=1.5), dict(q_boosted=float("nan"))):
+        with pytest.raises(ValueError, match="group rates"):
+            analytics.enlarged_gmzi_mux_reduction(**kw)
 
 
 def test_closed_forms_against_monte_carlo():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from muxkit import __version__, analytics, gridmux, networks, patterns
-from muxkit.cli import main
+from muxkit.cli import _parse_range, main
 
 
 def _rows(path):
@@ -238,6 +238,10 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "yield", "--lam-range", "1:inf:nan"], "finite"),
         (["gridmux", "--p-range", "0:1:nan", "--trials", "2"], "finite"),
         (["temporal", "--scheme", "debruijn", "--p-range", "0.1:inf:nan"], "finite"),
+        (["analyze", "--curve", "pmux", "--n-range", "8:inf:8"], "finite"),
+        (["analyze", "--curve", "pmux", "--n-range", "8:1000000000:1"], "65536 points"),
+        (["analyze", "--curve", "pmux", "--n-range", "1e20:1e20:1"], "65536 points"),
+        (["gridmux", "--p-range", "0:1:0.000000001", "--trials", "2"], "65536 points"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
@@ -246,6 +250,14 @@ def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and fragment in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_range_points_are_bounded():
+    assert _parse_range("1:65536:1", integer=True) == list(range(1, 65537))
+    assert len(_parse_range(f"0:1:{1 / 65535!r}")) == 65536
+    for spec in ("1:65537:1", "0:1:0.0000152587890625"):  # 65,537 points each
+        with pytest.raises(ValueError, match="more than 65536 points"):
+            _parse_range(spec)
 
 
 def test_group_curve_beyond_float_binomial_coefficients(capsys):

@@ -128,6 +128,10 @@ def test_setting_vector_index_roundtrip():
         gmzi.setting_vector(dev, 24)
     with pytest.raises(ValueError):
         gmzi.setting_index(dev, (4, 0, 0))
+    for vec in ((1, 0), (1, 0, 0, 0), ()):
+        for call in (gmzi.setting_index, gmzi.setting_angles, gmzi.setting_permutation):
+            with pytest.raises(ValueError, match="length mismatch"):
+                call(dev, vec)
 
 
 def test_stage_decomposition_reproduces_passive():
@@ -266,6 +270,9 @@ def test_switchable_pairwise_coupler():
     assert equal_up_to_global_phase(m1, gmzi.setting_matrix(dev, p_in ^ out_b), tol=1e-9)
     with pytest.raises(ValueError):
         gmzi.switchable_pairwise_coupler(gmzi.build_gmzi((4,)), 0, 1, 2, 0.5)
+    for ports in ((8, 3, 5), (-1, 3, 5), (0, 8, 5), (0, 3, -1)):
+        with pytest.raises(ValueError, match="port out of range"):
+            gmzi.switchable_pairwise_coupler(dev, *ports, 0.5)
 
 
 def test_half_range_mzi():

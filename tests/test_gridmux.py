@@ -45,6 +45,13 @@ def test_config_validation():
         gridmux.GridMuxConfig(
             columns=(1,), rows=((2, 0),), grid=((True,),), group_size=1, generators=1
         )
+    for kw, fragment in [
+        (dict(columns=(1,), rows=((1, 0),), grid=((True,),), group_size=1, generators=2), "generators groups"),
+        (dict(columns=(2,), rows=((1, 1), (1, 0)), grid=((True,), (True,)), group_size=1, generators=2), "consecutively"),
+        (dict(columns=(1,), rows=((1, 0), (1, 0)), grid=((True,), (True,)), group_size=2, generators=1), "column 0 size 1 != marked"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            gridmux.GridMuxConfig(**kw)
 
 
 def test_config_json_roundtrip():
@@ -66,6 +73,12 @@ def test_config_from_json_names_a_missing_key():
     del doc["generators"]
     with pytest.raises(ValueError, match="generators"):
         gridmux.config_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", "5", "null", '"grid"'])
+def test_config_from_json_needs_an_object(text):
+    with pytest.raises(ValueError, match="JSON object"):
+        gridmux.config_from_json(text)
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,9 @@ def test_builders_reject_bad_arguments():
         networks.build_spanke(4, 5)
     with pytest.raises(ValueError):
         networks.build_concatenated_gmzi(4, 6)
+    for args in ((0, 2), (-3, 2), (4, 1), (4, 0)):
+        with pytest.raises(ValueError, match="size >= 1 and block size n >= 2"):
+            networks.build_storage_loop(*args)
     # over the active-element bound, refused before a port is allocated
     for build, args in [
         (networks.build_log_tree, (2, 10**6)),

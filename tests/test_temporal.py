@@ -138,6 +138,22 @@ def test_occupancy_from_photons_sets_the_named_cells():
     assert occ.photons() == ((0, 0), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "modes, bins, grid, fragment",
+    [
+        (0, 1, (), "dims"),
+        (1, 0, ((),), "dims"),
+        (-1, 2, (), "dims"),
+        (2, 2, ((True, False),), "shape"),
+        (2, 2, ((True, False), (True,)), "shape"),
+        (1, 2, ((True, False, False),), "shape"),
+    ],
+)
+def test_occupancy_rejects_bad_dims_and_shapes(modes, bins, grid, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        temporal.SpaceTimeOccupancy(modes, bins, grid)
+
+
 @pytest.mark.parametrize("cell", [(0, -1), (-1, 0), (0, 3), (2, 0), (5, 7)])
 def test_occupancy_from_photons_rejects_cells_off_the_grid(cell):
     # negative indices used to wrap to the far edge, too-large ones to raise IndexError
@@ -156,6 +172,9 @@ def test_debruijn_route_trivial_cases():
     assert not temporal.debruijn_mux_route(empty, net).success
     full = _occ([[1] * 4] * 4)
     assert temporal.debruijn_mux_route(full, net).success
+    for occ in (_occ([[1, 0, 0]] * 4), _occ([[1, 0, 0, 0]] * 3)):
+        with pytest.raises(ValueError, match="dims do not match"):
+            temporal.debruijn_mux_route(occ, net)
 
 
 def test_debruijn_route_replay_on_random_occupancies():
