@@ -242,6 +242,9 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "pmux", "--n-range", "8:1000000000:1"], "65536 points"),
         (["analyze", "--curve", "pmux", "--n-range", "1e20:1e20:1"], "65536 points"),
         (["gridmux", "--p-range", "0:1:0.000000001", "--trials", "2"], "65536 points"),
+        (["analyze", "--curve", "sources-ratio", "--m", "1000000000"], "10000000 sources"),
+        (["analyze", "--curve", "ghz", "--p", "1e-300"], "underflow"),
+        (["gmzi", "--size", "1000000000"], "1048576 modes"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
