@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+
+from ._limits import check_finite, check_probability, check_size
 
 __all__ = [
     "p_mux_single",
@@ -51,12 +54,6 @@ def p_mux_single(n_sources: int, p: float) -> float:
     return -math.expm1(n_sources * math.log1p(-p)) if p < 1.0 else (1.0 if n_sources else 0.0)
 
 
-def check_probability(p: float) -> None:
-    """Raise ValueError unless 0 <= p <= 1 (NaN is rejected too)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability out of [0, 1]")
-
-
 def _binom_pmf(n: int, p: float, k: int) -> float:
     """P[Binomial(n, p) = k]."""
     c = math.comb(n, k)
@@ -84,8 +81,9 @@ def binom_tail(n: int, p: float, m: int) -> float:
 
 
 def _check_lam(lam: float) -> None:
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lam must be finite and >= 0")
+    check_finite("lam", lam)
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
 
 
 def poisson_pmf(lam: float, k: int) -> float:
@@ -107,12 +105,11 @@ def naive_group_pmux(n_sources: int, p: float, m: int) -> float:
     """All m branch muxes fire, sources split as evenly as possible."""
     if m < 1 or n_sources < m:
         raise ValueError("need n_sources >= m >= 1")
-    check_probability(p)
     base, extra = divmod(n_sources, m)
-    sizes = [base + 1] * extra + [base] * (m - extra)
+    larger, smaller = p_mux_single(base + 1, p), p_mux_single(base, p)
     out = 1.0
-    for s in sizes:
-        out *= p_mux_single(s, p)
+    for factor in chain(repeat(larger, extra), repeat(smaller, m - extra)):  # one per branch, larger first
+        out *= factor
     return out
 
 
@@ -120,7 +117,6 @@ def optimal_group_pmux(n_sources: int, p: float, m: int) -> float:
     """Any m of the n sources fire: requires a switch network routing any pattern."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    check_probability(p)
     return binom_tail(n_sources, p, m)
 
 
@@ -134,13 +130,13 @@ def required_sources_ratio(p: float, target: float, m: int) -> tuple[int, int, f
     check_probability(p)
     if not 0.0 < target < 1.0:
         raise ValueError("target must be in (0, 1)")
+    check_size("scan-sources", m)
 
     def scan(fn) -> int:
         n = m
         while fn(n) < target:
             n *= 2
-            if n > 10 ** 7:
-                raise ValueError("target unreachable within scan bound")
+            check_size("scan-sources", n)
         lo, hi = max(m, n // 2), n
         while lo < hi:
             mid = (lo + hi) // 2
@@ -221,7 +217,6 @@ def p4_ballistic(n_sources: int, p: float) -> float:
     """Four photons in distinct pairs, all other sources in vacuum (no switching)."""
     if n_sources % 2 or n_sources < 8:
         raise ValueError("need an even n_sources >= 8")
-    check_probability(min(p, 0.25))
     _, p_vac = squeezed_source(p)
     pairs = n_sources // 2
     return 2 ** 4 * math.comb(pairs, 4) * p ** 4 * p_vac ** (n_sources - 4)
@@ -318,7 +313,6 @@ def raster_rate(strategy: str, n_sources: int, p: float) -> float:
     Each of the m groups (see `raster_muxes`) needs its four mux firings to
     succeed, so the rate is m * p_mux_single(n/m, p)**4.
     """
-    check_probability(p)
     _, m = raster_muxes(strategy, n_sources)
     return m * p_mux_single(n_sources // m, p) ** 4
 
@@ -343,7 +337,6 @@ def max_raster_yield(strategy: str = "one-mux") -> tuple[float, float]:
 
 def raster_crossover(p: float = 0.05, lo: float = 8.0, hi: float = 1024.0) -> float:
     """Source count where the one-mux raster rate overtakes the four-mux rate."""
-    check_probability(p)
     def gap(n: float) -> float:
         return p_mux_single(n, p) ** 4 - 4.0 * p_mux_single(n / 4.0, p) ** 4
     if gap(lo) <= 0 or gap(hi) >= 0:
@@ -367,12 +360,13 @@ def ghz_improvement_factors(n_sources: int = 48, p: float = 0.05) -> dict[str, f
     """
     if n_sources < 12 or n_sources % 12:
         raise ValueError("n_sources must be a positive multiple of 12")
-    check_probability(p)
     if p == 0:
         raise ValueError("improvement factors need p > 0")
     from . import patterns
 
     baseline = p_mux_single(n_sources // 6, p) ** 6
+    if baseline == 0.0:
+        raise ValueError(f"the baseline p_mux_single(n_sources // 6, p) ** 6 underflows to 0 at p = {p!r}")
     q = p_mux_single(n_sources // 12, p)
     layer = patterns.optimal_coupler_layer(12)
     routable = patterns.routable_patterns(12, layer)

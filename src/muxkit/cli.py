@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, analytics, gmzi, gridmux, logic, networks, patterns, temporal
+from ._limits import check_finite, check_size
 
 __all__ = ["main"]
-
-_MAX_RANGE_POINTS = 1 << 16  # points of one lo:hi:step range; the largest a perfbench run asks for is 64
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +69,20 @@ def _emit_csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> 
 
 
 def _parse_range(spec: str, integer: bool = False) -> list:
-    """lo:hi:step inclusive grid of at most _MAX_RANGE_POINTS points, or a single value."""
+    """lo:hi:step inclusive grid of at most the `range-points` bound of points, or a single value."""
     parts = spec.split(":")
     if len(parts) == 1:
         return [int(parts[0]) if integer else float(parts[0])]
     if len(parts) != 3:
         raise ValueError(f"range must be 'lo:hi:step' or a single value, got {spec!r}")
     lo, hi, step = (float(x) for x in parts)
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ValueError(f"range needs finite lo, hi and step, got {spec!r}")
+    check_finite(f"lo, hi and step of range {spec!r}", lo, hi, step)
     if step <= 0 or hi < lo:
         raise ValueError("range needs step > 0 and hi >= lo")
     end = hi + 1e-9 * max(1.0, abs(hi))
     # counted with the loop's own end, so a step too small to move x is refused too
-    if (end - lo) / step >= _MAX_RANGE_POINTS:
-        raise ValueError(f"range {spec!r} has more than {_MAX_RANGE_POINTS} points")
+    steps = (end - lo) / step  # inf when the span or the quotient overflows
+    check_size("range-points", math.floor(steps) + 1 if steps < math.inf else steps)
     out = []
     x = lo
     while x <= end:
@@ -334,8 +332,9 @@ def _cmd_logic(args) -> int:
         table = logic.wildcard_reduce(args.width, args.photons)
         text = table.to_csv()
     elif args.table == "encoder":
-        if not 1 <= args.width <= 16:
-            raise ValueError("encoder enumeration needs 1 <= width <= 16")
+        if args.width < 1:
+            raise ValueError("encoder enumeration needs width >= 1")
+        check_size("encoder-width", args.width)
         lines = ["pattern,first_index"]
         for x in range(1 << args.width):
             bits = [bool(x >> i & 1) for i in range(args.width)]

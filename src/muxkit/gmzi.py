@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._limits import check_size
 from .linalg import (
     canonical_angle,
     cyclic_perm,
@@ -65,14 +66,6 @@ __all__ = [
     "hadamard_2",
     "coupler_hc",
 ]
-
-
-_MAX_TABLE_MODES = 4096  # routing_table and all_setting_angles hold N x N 8-byte tables (128 MiB each at 4,096)
-
-
-def _check_table_modes(dev: GmziDevice, table: str) -> None:
-    if dev.n_modes > _MAX_TABLE_MODES:
-        raise ValueError(f"the {table} table for {dev.n_modes} modes needs n_modes <= {_MAX_TABLE_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +204,13 @@ def build_gmzi(factors, offsets=None) -> GmziDevice:
     offsets, if given, is a length-N vector of fixed phase-shifter offsets;
     they change the physically applied settings (see active_setting_angles)
     but not the implemented permutations, up to per-setting global phases.
+    Raises ValueError above the `device-modes` bound of `muxkit._limits`.
     """
     factors = cyclic_spec(factors)
     if not factors:
         raise ValueError("a device needs at least one cyclic factor")
     n_modes = math.prod(factors)
+    check_size("device-modes", n_modes)
     if offsets is not None:
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != (n_modes,):
@@ -285,10 +280,9 @@ def setting_angles(dev: GmziDevice, k) -> np.ndarray:
 def all_setting_angles(dev: GmziDevice) -> np.ndarray:
     """(N_settings x N_modes) matrix of target angles.
 
-    Raises ValueError above _MAX_TABLE_MODES = 4,096 modes: the table is N^2
-    float64s, 128 MiB at N = 4,096, and building it holds a few such arrays.
+    Raises ValueError above the `table-modes` bound of `muxkit._limits`.
     """
-    _check_table_modes(dev, "angle")
+    check_size("table-modes", dev.n_modes)
     return _angles(dev.factors, _mixed_radix(dev.factors)[0])
 
 
@@ -319,10 +313,10 @@ def routing_table(dev: GmziDevice) -> np.ndarray:
     """(setting, input) -> output table; rows are the group permutations.
 
     For any device this is a Latin square: each input reaches each output
-    under exactly one setting.  Raises ValueError above _MAX_TABLE_MODES =
-    4,096 modes: the table is N^2 int64s, 128 MiB at N = 4,096.
+    under exactly one setting.  Raises ValueError above the `table-modes`
+    bound of `muxkit._limits`.
     """
-    _check_table_modes(dev, "routing")
+    check_size("table-modes", dev.n_modes)
     return _group_table(dev.factors)
 
 
@@ -516,12 +510,12 @@ def search_orthogonal_phase_sets(
     then lexicographically by vector indices, vectors in lexicographic
     alphabet order.
 
-    Raises ValueError if |alphabet|^n_modes exceeds 200,000.
+    Raises ValueError if |alphabet|^n_modes is over the `search-vectors`
+    bound of `muxkit._limits`.
     """
     alphabet = [float(a) for a in alphabet]
     m = len(alphabet) ** n_modes
-    if m > 200_000:
-        raise ValueError("search size too large to materialize the orthogonality graph")
+    check_size("search-vectors", m)
     combos = list(itertools.product(range(len(alphabet)), repeat=n_modes))
     vecs = np.exp(1j * np.array([[alphabet[i] for i in c] for c in combos]))
     # orthogonality graph in row blocks to bound memory

@@ -16,9 +16,9 @@ A small table answers a lookup with one list index instead: at its first
 match it builds a dense index from every packed input x = 0 .. 2^width - 1
 to the ascending tuple of rows x matches.  The index is built only when both
 its 2^width slots and its sum(len(rows) * 2^(width - popcount(care))) row
-entries are within _MAX_INDEX = 65,536 (any table of width <= 16 whose rows
-overlap little, such as every wildcard-reduced one); a wider or heavily
-overlapping table keeps the per-care-mask probe.
+entries are within the `index-entries` bound of `muxkit._limits` (any table
+of width <= 16 whose rows overlap little, such as every wildcard-reduced
+one); a wider or heavily overlapping table keeps the per-care-mask probe.
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._limits import LIMITS, check_size
+
 __all__ = ["TruthTable", "priority_encode", "wildcard_reduce"]
-
-
-_MAX_SWEEP_WIDTH = 24  # match_counts holds 2^width int64 counters (128 MiB at 24)
-_MAX_WILDCARD_ROWS = 1 << 16  # wildcard_reduce builds this many rows in about 0.7 s on a 2-core machine
-_MAX_INDEX = 1 << 16  # slots and row entries of a dense match index; wildcard_reduce(16, 8) builds its in about 40 ms
 
 
 def priority_encode(bits: Sequence[bool]) -> int | None:
@@ -82,16 +79,17 @@ class TruthTable:
 
     @functools.cached_property
     def _index(self) -> list[tuple[int, ...]] | None:
-        """Ascending rows matched by each packed input x, or None when over _MAX_INDEX.
+        """Ascending rows matched by each packed input x, or None when over the `index-entries` bound.
 
         Built at the first match.  Rows are taken in index order and row i
         is written into slot value | s for every submask s of its wildcard
         bits, so each (input, row) match is written once and every slot
         comes out ascending.
         """
-        if self.width >= _MAX_INDEX.bit_length():  # 2^width slots > _MAX_INDEX
+        bound = LIMITS["index-entries"][0]
+        if self.width >= bound.bit_length():  # 2^width slots > bound
             return None
-        if sum(1 << (self.width - care.bit_count()) for care, _ in self._masks) > _MAX_INDEX:
+        if sum(1 << (self.width - care.bit_count()) for care, _ in self._masks) > bound:
             return None
         full = (1 << self.width) - 1
         slots: list[list[int]] = [[] for _ in range(full + 1)]
@@ -123,8 +121,7 @@ class TruthTable:
 
     def match_counts(self) -> np.ndarray:
         """Number of matching rows for every input x = 0 .. 2^width - 1, port i in bit i of x."""
-        if self.width > _MAX_SWEEP_WIDTH:
-            raise ValueError(f"a sweep of all inputs needs width <= {_MAX_SWEEP_WIDTH}")
+        check_size("sweep-width", self.width)
         xs = np.arange(1 << self.width, dtype=np.int64)
         counts = np.zeros(len(xs), dtype=np.int64)
         for care, by_value in self._groups.items():
@@ -165,14 +162,14 @@ def wildcard_reduce(
     row of its first n ones.  Appended to the outputs of outputs_for (default
     none) is one dump bit per port, set except on the n selected ports, so
     surplus photons on wildcard positions are discarded.  The width must be
-    at least 1, and C(width, n) at most 65,536 rows: any n up to width 18.
+    at least 1, and C(width, n) within the `wildcard-rows` bound of
+    `muxkit._limits`.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if not 0 <= n_photons <= width:
         raise ValueError("need 0 <= n_photons <= width")
-    if math.comb(width, n_photons) > _MAX_WILDCARD_ROWS:
-        raise ValueError(f"a width-{width} wildcard table for {n_photons} photons has over {_MAX_WILDCARD_ROWS} rows")
+    check_size("wildcard-rows", math.comb(width, min(n_photons, width - n_photons, 64)))  # over any bound past 64
     rows = []
     for ones in combinations(range(width), n_photons):
         base = tuple(1 if i in ones else 0 for i in range(width))

@@ -8,9 +8,8 @@ per mode, crossings), so cost metrics come from graph traversal rather than
 from the closed-form formulas they are tested against.
 
 Each builder counts its active elements (the `n_active` of `metrics`) in
-closed form and raises ValueError above `_MAX_ACTIVE` = 8,192 before it
-allocates anything.  The largest network a test or benchmark builds, spanke
-64x16, has 2,048.
+closed form and raises ValueError above the `active-elements` bound of
+`muxkit._limits` before it allocates anything.
 
 The builders and `network_from_json` run with CPython's cyclic garbage
 collector paused.  A spanke 64x16 network is 14,385 components, and its JSON
@@ -31,6 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._limits import check_size
 from .gmzi import _inversions, _json_list, _json_value, build_gmzi, decompose_stages, prime_spec
 
 __all__ = [
@@ -51,10 +51,6 @@ __all__ = [
 ]
 
 KINDS = ("coupler", "active-phase", "passive-phase", "crossing", "delay", "detector-port")
-
-# active elements (switch-block modes) a builder may make.  The most components per element
-# come from one 8,192-mode block: 122,927 components, built in 1.7 s at a 190 MB peak on 2 cores.
-_MAX_ACTIVE = 1 << 13
 
 
 def _collector_paused(call):
@@ -79,12 +75,6 @@ def _collector_paused(call):
                 gc.enable()
 
     return paused
-
-
-def _check_active(name: str, n_active: int) -> None:
-    """Reject a network of more than `_MAX_ACTIVE` active elements, counted before any allocation."""
-    if n_active > _MAX_ACTIVE:
-        raise ValueError(f"a {name} network of {n_active} active elements exceeds the bound of {_MAX_ACTIVE}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +237,7 @@ def build_log_tree(size: int, n: int = 2) -> Network:
     if size < 1 or n < 2:
         raise ValueError("need size >= 1 and branching n >= 2")
     depth = max(1, _ceil_log(size, n)) if size > 1 else 0
-    _check_active("log-tree", n * (n ** depth - 1) // (n - 1))
+    check_size("active-elements", n * (n ** depth - 1) // (n - 1))
     b = _Builder("log-tree", size=size, n=n)
     leaves = b.new_input(n ** depth if size > 1 else 1)
     level = leaves
@@ -267,7 +257,7 @@ def build_chain(size: int, n: int = 2) -> Network:
     if size < 2 or n < 2:
         raise ValueError("need size >= 2 and block size n >= 2")
     blocks = -(-(size - 1) // (n - 1))
-    _check_active("chain", n * blocks)
+    check_size("active-elements", n * blocks)
     b = _Builder("chain", size=size, n=n)
     supplied = 0
     carry = None
@@ -293,7 +283,7 @@ def build_delay_network(size: int, n: int = 2) -> Network:
     if size < 2 or n < 2:
         raise ValueError("need size >= 2 and block size n >= 2")
     layers = _ceil_log(size, n)
-    _check_active("delay-network", n * (layers + 1))
+    check_size("active-elements", n * (layers + 1))
     b = _Builder("delay-network", size=size, n=n)
     (src,) = b.new_input(1)
     pads = b.new_input(n - 1)
@@ -319,7 +309,7 @@ def build_storage_loop(size: int, n: int = 2) -> Network:
     if size < 1 or n < 2:
         raise ValueError("need size >= 1 and block size n >= 2")
     passes = -(-size // (n - 1))
-    _check_active("storage-loop", n * passes)
+    check_size("active-elements", n * passes)
     b = _Builder("storage-loop", size=size, n=n)
     supplied = 0
     carry = b.new_input(1)[0]  # loop initialisation (vacuum)
@@ -348,7 +338,7 @@ def build_spanke(size: int, m: int, optimized: bool = False) -> Network:
     """
     if size < 1 or m < 1 or m > size:
         raise ValueError("need 1 <= m <= size")
-    _check_active("spanke", m * (2 * size - m + 1) if optimized else 2 * size * m)
+    check_size("active-elements", m * (2 * size - m + 1) if optimized else 2 * size * m)
     b = _Builder("spanke", size=size, m=m, optimized=optimized)
     fan_outs: list[list[int]] = []
     for i in range(size):
@@ -378,7 +368,7 @@ def build_concatenated_gmzi(size: int, m: int) -> Network:
     """
     if size < 1 or m < 1 or size - m + 1 < 1:
         raise ValueError("need 1 <= m and size - m + 1 >= 1")
-    _check_active("concatenated-gmzi", m * (2 * size - m + 1) // 2)
+    check_size("active-elements", m * (2 * size - m + 1) // 2)
     b = _Builder("concatenated-gmzi", size=size, m=m)
     ports = b.new_input(size)
     outputs = []

@@ -23,6 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._limits import check_size
+
 __all__ = [
     "mask_from_modes",
     "modes_from_mask",
@@ -312,20 +314,14 @@ def paired_coupler_success_fraction() -> Fraction:
     return Fraction(good, total)
 
 
-_MAX_BINNING_N = 1000
-
-
 def distinct_bin_fraction(n: int = 4) -> Fraction:
     """Probability that n photons dropped uniformly into n bins all separate.
 
-    n must be in [1, 1,000]: at n = 1,000 the reduced fraction n!/n^n prints
-    in 4,623 characters, each side within the 4,300 digits that Python
-    converts from int to str by default.
+    n must be at least 1 and within the `binning-n` bound of `muxkit._limits`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _MAX_BINNING_N:
-        raise ValueError(f"n must be <= {_MAX_BINNING_N}")
+    check_size("binning-n", n)
     return Fraction(math.factorial(n), n ** n)
 
 

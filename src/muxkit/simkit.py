@@ -12,7 +12,7 @@ trials, row i of a block starting at trial ``start`` being the uniforms of
 reduce the per-trial values with ``reduce_values``.  A block holds at most
 ``_BLOCK_BYTES`` (1 MiB) of doubles, or a single trial when one trial is
 larger, so memory stays flat however many trials run.  One trial may draw
-at most ``_MAX_TRIAL_UNIFORMS`` (4,194,304) uniforms.
+at most the ``trial-uniforms`` bound of ``muxkit._limits``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .analytics import check_probability
+from ._limits import check_probability, check_size
 
 __all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "estimate", "reduce_values"]
 
 _BLOCK_BYTES = 1 << 20  # cap on one block of uniforms
-_MAX_TRIAL_UNIFORMS = 1 << 22  # cap on one trial's uniforms (32 MiB of doubles)
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,14 @@ def run_trials(
     the block to ``kernel``, which returns one row of output per trial.
     ``chunk`` keeps a block within ``_BLOCK_BYTES``, or at one trial when
     a single trial is larger.  Checks the arguments every simulator
-    shares: p in [0, 1], at least two trials, and at most
-    ``_MAX_TRIAL_UNIFORMS`` (4,194,304) uniforms in one trial.
+    shares: p in [0, 1], at least two trials, and at most the
+    ``trial-uniforms`` bound of uniforms in one trial.
     """
     check_probability(p)
     if trials < 2:
         raise ValueError("trials must be >= 2")
     size = math.prod(shape)
-    if size > _MAX_TRIAL_UNIFORMS:
-        raise ValueError(f"a trial of shape {shape} draws over {_MAX_TRIAL_UNIFORMS} uniforms")
+    check_size("trial-uniforms", size)
     chunk = min(trials, max(1, _BLOCK_BYTES // (8 * max(1, size))))
     block = np.empty((chunk, *shape), dtype=np.float64)
     streams = TrialStreams(seed)

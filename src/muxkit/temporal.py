@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import analytics
+from ._limits import check_probability, check_size
 from .simkit import Estimate, reduce_values, run_trials
 
 __all__ = [
@@ -83,9 +84,6 @@ class DeBruijnSequence:
     symbols: tuple[int, ...]
 
 
-_SIZE_GUARD = 10 ** 6
-
-
 def de_bruijn(k: int, length: int) -> DeBruijnSequence:
     """Lexicographically least de Bruijn sequence over {0..k-1}, words of `length`.
 
@@ -99,8 +97,7 @@ def de_bruijn(k: int, length: int) -> DeBruijnSequence:
 def _check_db_args(k: int, length: int) -> None:
     if k < 1 or length < 1:
         raise ValueError("need k >= 1 and length >= 1")
-    if k ** length > _SIZE_GUARD:
-        raise ValueError(f"k**length exceeds guard {_SIZE_GUARD}")
+    check_size("debruijn-words", k ** min(length, 64))  # exact below length 64; from there k >= 2 is over any bound
 
 
 def _lyndon_concat(k: int, length: int, zero_only: bool) -> tuple[int, ...]:
@@ -284,7 +281,7 @@ def _check_window_args(modes: int, bins: int, p: Fraction | float) -> None:
         raise ValueError("modes must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    analytics.check_probability(p)
+    check_probability(p)
 
 
 def non_tetris_success_probability(modes: int, bins: int, p: float) -> float:
@@ -300,15 +297,13 @@ def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fr
     cover.  Each bin takes every mode mask x, weighted p^|x| (1-p)^(m-|x|),
     and moves the state one `_reach_step`; the result is the weight of the
     states holding the full mask.  A float p becomes the nearest fraction
-    with denominator <= 10^9.  Windows are limited to modes * bins <= 24,
-    and <= 16 above seven modes, which the walk finishes in about a second
-    ((8, 3) would take 3 s and (12, 2) a minute); larger ones raise
-    ValueError.
+    with denominator <= 10^9.  Windows are limited to modes * bins by the
+    `tetris-cells` bound of `muxkit._limits` up to seven modes and by
+    `tetris-cells-wide` above; larger ones raise ValueError.
     """
     _check_window_args(modes, bins, p)
     m, b = modes, bins
-    if m * b > (24 if m <= 7 else 16):
-        raise ValueError("per-bin-shift probability limited to modes * bins <= 24, or <= 16 above 7 modes")
+    check_size("tetris-cells" if m <= 7 else "tetris-cells-wide", m * b)
     p = Fraction(p).limit_denominator(10 ** 9) if not isinstance(p, Fraction) else p
     weight = [p ** k * (1 - p) ** (m - k) for k in range(m + 1)]  # by photon count
     states = {frozenset({0}): Fraction(1)}
@@ -579,9 +574,6 @@ def raster_simulate(
 # ---------------------------------------------------------------------------
 # temporal permutation networks
 
-_MAX_PERM_INPUTS = 1 << 16  # a 65,536-bin window schedules, replays and prints as CSV in about 0.6 s
-
-
 @dataclass(frozen=True)
 class PermutationSchedule:
     """Shift settings for a shifter -> delay bank -> shifter time network.
@@ -613,12 +605,14 @@ def temporal_permutation(n_inputs: int, perm: Sequence[int], variant: str = "arb
     delays 0..2R-2, and the set of output bins never depends on perm.
     sort-to-top: `perm` lists the occupied inputs; photon of rank r exits on
     port r at bin R-1+r; a size R network with delays 0..R-1 suffices.
-    R must be in [1, 65,536]; it is checked before `perm` is read, so a
-    `range` may stand for the identity at any R.
+    R must be at least 1 and within the `perm-bins` bound of `muxkit._limits`;
+    it is checked before `perm` is read, so a `range` may stand for the
+    identity at any R.
     """
     r_n = n_inputs
-    if not 1 <= r_n <= _MAX_PERM_INPUTS:
-        raise ValueError(f"n_inputs must be in [1, {_MAX_PERM_INPUTS}]")
+    if r_n < 1:
+        raise ValueError("n_inputs must be >= 1")
+    check_size("perm-bins", r_n)
     if variant == "arbitrary":
         if sorted(perm) != list(range(r_n)):
             raise ValueError("perm must be a permutation of range(n_inputs)")

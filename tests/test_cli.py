@@ -231,7 +231,7 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "footprint", "--p-out", "1"], "p_out in"),
         (["analyze", "--curve", "footprint", "--n", "100000"], "p_group / 4 < 1"),
         (["net", "--topology", "spanke", "--size", "100000", "--m", "1000"], "active elements"),
-        (["search", "--circuit", "binning", "--n", "5000"], "n must be <="),
+        (["search", "--circuit", "binning", "--n", "5000"], "1000 photons"),
         (["analyze", "--curve", "pmux", "--n-range", "8:16:nan"], "finite"),
         (["analyze", "--curve", "pmux", "--n-range", "nan:16:1"], "finite"),
         (["analyze", "--curve", "pmux", "--n-range=-inf:8:1"], "finite"),

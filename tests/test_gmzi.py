@@ -247,7 +247,7 @@ def test_search_orthogonal_sets_finds_hadamard_pairs():
 
 def test_orthogonal_set_search_rejects_more_than_200k_vectors():
     # 2**18 = 262,144 vectors: over the bound, rejected before any is built
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ValueError, match="200000 phase vectors"):
         gmzi.search_orthogonal_phase_sets(18, (0.0, -np.pi), 2)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muxkit import logic
+from muxkit._limits import LIMITS
 from muxkit.simkit import substream
 
 
@@ -167,7 +168,7 @@ def _all_inputs(width):
 
 
 def test_dense_index_at_its_bounds():
-    bound = logic._MAX_INDEX
+    bound = LIMITS["index-entries"][0]
     # width 16: 2^16 slots, and one all-wildcard row matching each of them
     wild = logic.TruthTable(width=16, rows=(("*" * 16, (0,)),), default_outputs=(-1,))
     # one fully fixed row more puts the row entries one above the bound

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from muxkit import simkit
+from muxkit._limits import LIMITS
 
 
 def test_substreams_are_schedule_independent():
@@ -43,7 +44,7 @@ def test_run_trials_bounds_one_trial():
     def ends(u):
         return u.reshape(len(u), -1)[:, [0, -1]]
 
-    bound = simkit._MAX_TRIAL_UNIFORMS
+    bound = LIMITS["trial-uniforms"][0]
     at_bound = simkit.run_trials(ends, (4, bound // 4), 0.5, 2, 7)
     assert np.array_equal(at_bound, [ends(simkit.substream(7, t).random((1, bound)))[0] for t in range(2)])
 
