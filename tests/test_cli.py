@@ -245,6 +245,7 @@ def test_unknown_flag_exits_2():
         (["analyze", "--curve", "sources-ratio", "--m", "1000000000"], "10000000 sources"),
         (["analyze", "--curve", "ghz", "--p", "1e-300"], "underflow"),
         (["gmzi", "--size", "1000000000"], "1048576 modes"),
+        (["logic", "--table", "wildcard", "--width", "1000000000", "--photons", "0"], "cells"),
     ],
 )
 def test_invalid_arguments_are_clean_errors(argv, fragment, capsys):
