@@ -16,6 +16,7 @@ LIMITS: dict[str, tuple[int, str, str]] = {
     "search-vectors": (200_000, "phase vectors", "an orthogonal-set search"),  # its graph holds a set per vector
     "sweep-width": (24, "ports (width)", "a match_counts sweep"),  # 2^width int64 counters, 128 MiB
     "wildcard-rows": (1 << 16, "rows C(width, n_photons)", "a wildcard table"),  # every width up to 18
+    "wildcard-cells": (1 << 20, "cells (rows x width)", "a wildcard table"),  # every width up to 20 the rows allow
     "index-entries": (1 << 16, "slots or row entries", "a dense match index"),  # a larger table probes per mask
     "encoder-width": (16, "ports (width)", "an encoder enumeration"),  # one CSV line per input, 2^width
     "active-elements": (1 << 13, "active elements", "a switch network"),  # one 8,192-mode block: 122,927 components

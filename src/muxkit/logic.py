@@ -162,21 +162,24 @@ def wildcard_reduce(
     row of its first n ones.  Appended to the outputs of outputs_for (default
     none) is one dump bit per port, set except on the n selected ports, so
     surplus photons on wildcard positions are discarded.  The width must be
-    at least 1, and C(width, n) within the `wildcard-rows` bound of
-    `muxkit._limits`.
+    at least 1, C(width, n) within the `wildcard-rows` bound of
+    `muxkit._limits` and width * C(width, n) within `wildcard-cells`.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if not 0 <= n_photons <= width:
         raise ValueError("need 0 <= n_photons <= width")
-    check_size("wildcard-rows", math.comb(width, min(n_photons, width - n_photons, 64)))  # over any bound past 64
+    n_rows = math.comb(width, min(n_photons, width - n_photons, 64))  # exact up to 64, over any bound past it
+    check_size("wildcard-rows", n_rows)
+    check_size("wildcard-cells", n_rows * width)
     rows = []
     for ones in combinations(range(width), n_photons):
-        base = tuple(1 if i in ones else 0 for i in range(width))
+        chosen = set(ones)
+        base = tuple(1 if i in chosen else 0 for i in range(width))
         last = ones[-1] if ones else -1
         pattern = "".join(str(b) for b in base[: last + 1]) + "*" * (width - last - 1)
         outs = tuple(outputs_for(base)) if outputs_for is not None else ()
-        dump = tuple(0 if i in ones else 1 for i in range(width))
+        dump = tuple(1 - b for b in base)
         rows.append((pattern, outs + dump))
     default = (0,) * (len(rows[0][1]) - width) + (1,) * width
     return TruthTable(width=width, rows=tuple(rows), default_outputs=default)

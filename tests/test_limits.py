@@ -36,6 +36,7 @@ _SITES = [
     ("search-vectors", gmzi, lambda n: gmzi.search_orthogonal_phase_sets(1, [0.0] * n, 2)),
     ("sweep-width", logic, lambda n: logic.TruthTable(width=n, rows=(), default_outputs=()).match_counts()),
     ("wildcard-rows", logic, lambda n: logic.wildcard_reduce(n, 1)),
+    ("wildcard-cells", logic, lambda n: logic.wildcard_reduce(n, 0)),
     ("active-elements", networks, lambda n: networks.build_log_tree(2, n)),
     ("active-elements", networks, lambda n: networks.build_chain(2, n)),
     ("active-elements", networks, lambda n: networks.build_delay_network(2, -(-n // 2))),

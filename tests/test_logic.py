@@ -104,6 +104,12 @@ def test_wildcard_table_size_is_bounded():
     with pytest.raises(ValueError, match="rows"):
         logic.wildcard_reduce(64, 32)
     assert len(logic.wildcard_reduce(16, 8).rows) == math.comb(16, 8)
+    # one row of 10^9 ports is refused by its cells, before the row is built
+    with pytest.raises(ValueError, match="cells"):
+        logic.wildcard_reduce(10**9, 0)
+    # a row of n ones is built in O(width), not O(width * n)
+    (pattern, outs), = logic.wildcard_reduce(1 << 16, 1 << 16).rows
+    assert pattern == "1" * (1 << 16) and outs == (0,) * (1 << 16)
 
 
 def test_csv_golden():
