@@ -1,9 +1,8 @@
 """The sizes muxkit accepts, and the checks every entry point applies to its numbers.
 
-N x N tables, 2^width inputs and k^length words grow fast, so an entry point
-that could be asked for more than it can compute counts the work in closed
-form and passes the count to `check_size` before it allocates anything.
-`LIMITS` is the one table of those bounds; the README carries a copy.
+An entry point that could be asked for more than it can compute (N x N tables,
+2^width inputs, k^length words) counts the work in closed form and passes the
+count to `check_size` before it allocates anything.  The README copies LIMITS.
 """
 
 import math

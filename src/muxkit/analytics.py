@@ -107,10 +107,7 @@ def naive_group_pmux(n_sources: int, p: float, m: int) -> float:
         raise ValueError("need n_sources >= m >= 1")
     base, extra = divmod(n_sources, m)
     larger, smaller = p_mux_single(base + 1, p), p_mux_single(base, p)
-    out = 1.0
-    for factor in chain(repeat(larger, extra), repeat(smaller, m - extra)):  # one per branch, larger first
-        out *= factor
-    return out
+    return math.prod(chain(repeat(larger, extra), repeat(smaller, m - extra)))  # one per branch, larger first
 
 
 def optimal_group_pmux(n_sources: int, p: float, m: int) -> float:
@@ -127,10 +124,9 @@ def required_sources_ratio(p: float, target: float, m: int) -> tuple[int, int, f
     naive_group_pmux >= target, minimal n with optimal_group_pmux >= target,
     and their ratio.
     """
-    check_probability(p)
     if not 0.0 < target < 1.0:
         raise ValueError("target must be in (0, 1)")
-    check_size("scan-sources", m)
+    check_size("scan-sources", m)  # p is checked by the first scan step
 
     def scan(fn) -> int:
         n = m
@@ -159,7 +155,6 @@ def yield_multi_generator(lam: float, m: int, g: int, sharing: bool = True) -> f
     sharing=False: the bank is split into g equal sub-banks, each feeding
     one generator: m g P[X' >= m] / lam with X' ~ Poisson(lam/g).
     """
-    _check_lam(lam)
     if lam == 0:
         return 0.0
     if m < 1 or g < 1:
@@ -360,13 +355,11 @@ def ghz_improvement_factors(n_sources: int = 48, p: float = 0.05) -> dict[str, f
     """
     if n_sources < 12 or n_sources % 12:
         raise ValueError("n_sources must be a positive multiple of 12")
-    if p == 0:
-        raise ValueError("improvement factors need p > 0")
     from . import patterns
 
     baseline = p_mux_single(n_sources // 6, p) ** 6
-    if baseline == 0.0:
-        raise ValueError(f"the baseline p_mux_single(n_sources // 6, p) ** 6 underflows to 0 at p = {p!r}")
+    if baseline == 0.0:  # at p = 0, and at a p > 0 so small that the sixth power underflows
+        raise ValueError(f"improvement factors need p > 0 and a baseline that does not underflow to 0, not p = {p!r}")
     q = p_mux_single(n_sources // 12, p)
     layer = patterns.optimal_coupler_layer(12)
     routable = patterns.routable_patterns(12, layer)

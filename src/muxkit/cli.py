@@ -32,9 +32,7 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer, np.bool_)):  # a bool prints as 0 or 1
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.12g}"

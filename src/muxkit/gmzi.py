@@ -321,7 +321,7 @@ def routing_table(dev: GmziDevice) -> np.ndarray:
 
 
 def _group_table(factors: tuple[int, ...]) -> np.ndarray:
-    """(N, N) group table on the factors, [s, a] = a shifted by s; not cached, as it is 128 MiB at N = 4,096."""
+    """(N, N) group table on the factors, [s, a] = a shifted by s; not cached, as it is 128 MiB at the `table-modes` bound."""
     digits, place = _mixed_radix(factors)
     # ((digits[:, None] + digits[None]) % factors) @ place, one factor at a
     # time so no (N, N, r) intermediate is ever allocated

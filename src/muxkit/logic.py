@@ -86,10 +86,8 @@ class TruthTable:
         bits, so each (input, row) match is written once and every slot
         comes out ascending.
         """
-        bound = LIMITS["index-entries"][0]
-        if self.width >= bound.bit_length():  # 2^width slots > bound
-            return None
-        if sum(1 << (self.width - care.bit_count()) for care, _ in self._masks) > bound:
+        bound = LIMITS["index-entries"][0]  # on the 2^width slots and on the row entries
+        if self.width >= bound.bit_length() or sum(1 << (self.width - care.bit_count()) for care, _ in self._masks) > bound:
             return None
         full = (1 << self.width) - 1
         slots: list[list[int]] = [[] for _ in range(full + 1)]
@@ -162,8 +160,7 @@ def wildcard_reduce(
     row of its first n ones.  Appended to the outputs of outputs_for (default
     none) is one dump bit per port, set except on the n selected ports, so
     surplus photons on wildcard positions are discarded.  The width must be
-    at least 1, C(width, n) within the `wildcard-rows` bound of
-    `muxkit._limits` and width * C(width, n) within `wildcard-cells`.
+    at least 1, and the rows and cells within the `wildcard-*` bounds.
     """
     if width < 1:
         raise ValueError("width must be >= 1")

@@ -297,9 +297,8 @@ def tetris_success_probability(modes: int, bins: int, p: Fraction | float) -> Fr
     cover.  Each bin takes every mode mask x, weighted p^|x| (1-p)^(m-|x|),
     and moves the state one `_reach_step`; the result is the weight of the
     states holding the full mask.  A float p becomes the nearest fraction
-    with denominator <= 10^9.  Windows are limited to modes * bins by the
-    `tetris-cells` bound of `muxkit._limits` up to seven modes and by
-    `tetris-cells-wide` above; larger ones raise ValueError.
+    with denominator <= 10^9.  A window whose modes * bins is over the
+    `tetris-cells` bound (`tetris-cells-wide` above seven modes) raises ValueError.
     """
     _check_window_args(modes, bins, p)
     m, b = modes, bins
@@ -605,9 +604,8 @@ def temporal_permutation(n_inputs: int, perm: Sequence[int], variant: str = "arb
     delays 0..2R-2, and the set of output bins never depends on perm.
     sort-to-top: `perm` lists the occupied inputs; photon of rank r exits on
     port r at bin R-1+r; a size R network with delays 0..R-1 suffices.
-    R must be at least 1 and within the `perm-bins` bound of `muxkit._limits`;
-    it is checked before `perm` is read, so a `range` may stand for the
-    identity at any R.
+    R must be in [1, the `perm-bins` bound]; it is checked before `perm` is
+    read, so a `range` may stand for the identity at any R.
     """
     r_n = n_inputs
     if r_n < 1:

@@ -55,13 +55,8 @@ _SITES = [
 ]
 
 
-def _index_probe(n):
-    """A width-16 table with exactly n row entries: all-wildcard rows, then fixed ones."""
-    rows = (("*" * 16, (0,)),) * (n >> 16) + (("0" * 16, (1,)),) * (n & 0xFFFF)
-    return logic.TruthTable(width=16, rows=rows, default_outputs=(-1,))._index is not None
-
-
 def test_every_entry_has_a_site():
+    # index-entries raises nothing: test_logic.test_dense_index_at_its_bounds drives it
     assert {name for name, _, _ in _SITES} | {"index-entries"} == set(LIMITS)
 
 
@@ -82,12 +77,6 @@ def test_each_bound_admits_its_value_and_refuses_one_more(name, module, call, mo
     assert counted == [bound]
     with pytest.raises(ValueError, match=f"has more than {bound} "):
         call(bound + 1)
-
-
-def test_the_dense_index_bound_picks_the_probe_and_never_raises():
-    bound = LIMITS["index-entries"][0]
-    assert _index_probe(bound)
-    assert not _index_probe(bound + 1)
 
 
 def test_check_size_message():
