@@ -32,7 +32,7 @@ _LISTS = ["2,0,1", "0", "3,3", "4,2", "-1,2", "1000000000", ""]
 _MAX_TRIALS = 20
 
 
-def _values(command: str, action: argparse.Action):
+def _values(action: argparse.Action):
     if action.choices:
         return st.sampled_from(sorted(action.choices))
     if action.dest == "trials":
@@ -59,7 +59,7 @@ def _argv(draw):
         if isinstance(action, argparse.BooleanOptionalAction) or action.nargs == 0:
             argv.append(flag)
         else:
-            argv.append(f"{flag}={draw(_values(command, action))}")
+            argv.append(f"{flag}={draw(_values(action))}")
     return argv
 
 
