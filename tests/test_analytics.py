@@ -1,5 +1,6 @@
 """Closed-form probability and yield engine against independent oracles."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -393,3 +394,67 @@ def test_closed_forms_against_monte_carlo():
         mcg = float(yg.mean())
         seg = float(yg.std(ddof=1)) / math.sqrt(trials)
         assert abs(mcg - analytics.yield_multi_generator(lam, 4, 2, False)) <= 3 * seg
+
+
+# Each closed form at two fixed arguments, every float pinned by float.hex:
+# the CLI's CSV rows print 12 significant digits, so a one-ulp move would
+# still pass tests/cli_frozen.json.  Ints in a result are pinned as ints.
+CLOSED_FORM_BITS = [
+    ('p_mux_single', (16, 0.1), ['0x1.a120180202be9p-1']),
+    ('p_mux_single', (7, 0.37), ['0x1.ebd5196b8106ep-1']),
+    ('binom_tail', (20, 0.1, 3), ['0x1.4ad3b317b3b0ap-2']),
+    ('binom_tail', (64, 0.3, 17), ['0x1.887cd7fc0d71cp-1']),
+    ('poisson_pmf', (0.8, 2), ['0x1.2678e40f6f2e9p-3']),
+    ('poisson_pmf', (3.5, 7), ['0x1.3bcb7ab4a3312p-5']),
+    ('poisson_tail', (0.8, 2), ['0x1.8797fd292e9b0p-3']),
+    ('poisson_tail', (3.5, 7), ['0x1.0b6b8818eb3c0p-4']),
+    ('naive_group_pmux', (24, 0.1, 2), ['0x1.07a1f05639b9cp-1']),
+    ('naive_group_pmux', (48, 0.05, 4), ['0x1.6da562fb9aa31p-5']),
+    ('optimal_group_pmux', (24, 0.1, 2), ['0x1.6a4075cd8e127p-1']),
+    ('optimal_group_pmux', (48, 0.05, 4), ['0x1.be642fdc78b84p-3']),
+    ('required_sources_ratio', (0.1, 0.9, 2), [57, 38, '0x1.8000000000000p+0']),
+    ('required_sources_ratio', (0.05, 0.95, 4), [341, 153, '0x1.1d47f29d47f2ap+1']),
+    ('yield_multi_generator', (1.5, 3, 2, True), ['0x1.909b87b889613p-2']),
+    ('yield_multi_generator', (2.5, 4, 3, False), ['0x1.999eef0870280p-5']),
+    ('max_yield', (2, 2, True), ['0x1.712c561966cfcp+1', '0x1.89fdfede009e6p-1']),
+    ('max_yield', (3, 2, False), ['0x1.b11b4745d4bd1p+2', '0x1.2a497a23eba75p-1']),
+    ('squeezed_source', (0.1,), ['0x1.65a1ecb67edb5p-2', '0x1.c64bf7a1fb924p-1']),
+    ('squeezed_source', (0.25,), ['0x1.c34366179d428p-1', '0x1.0000000000000p-1']),
+    ('p4_ballistic', (16, 0.1), ['0x1.b4fe12d99a1e7p-6']),
+    ('p4_ballistic', (32, 0.05), ['0x1.4697188f59f73p-5']),
+    ('p4_blocking', (16, 0.1), ['0x1.85a11d37e0ae0p-5']),
+    ('p4_blocking', (32, 0.05), ['0x1.0393a49b154f0p-4']),
+    ('p4_with_premux', (16, 0.1, 2), ['0x1.ca5493510911ap-7']),
+    ('p4_with_premux', (32, 0.05, 4), ['0x1.a488a8c0d7ce4p-7']),
+    ('p_bsg', (8,), ['0x1.8000000000000p-3']),
+    ('p_bsg', (14,), ['0x1.e000000000000p-4']),
+    ('footprint', (16, 0.1, 0.5, 0.25, 0.9), ['0x1.671fe1d7d80b0p+5', '0x1.671fe1d7d80b0p+9', '0x1.7069e2aa2aa5bp+9']),
+    ('footprint', (32, 0.05, 0.8, 0.1875, 0.99), ['0x1.29b4be53d1cf7p+6', '0x1.29b4be53d1cf7p+11', '0x1.3302e78dce349p+11']),
+    ('raster_rate', ('one-mux', 16, 0.1), ['0x1.c31d3d83ea702p-2']),
+    ('raster_rate', ('four-mux', 32, 0.05), ['0x1.a488a8c0d7ce4p-5']),
+    ('raster_yield', ('two-mux', 16, 0.1), ['0x1.0d5944f39f963p-3']),
+    ('raster_yield', ('four-mux-interleaved', 32, 0.05), ['0x1.06d5697886e0ep-5']),
+    ('max_raster_yield', ('one-mux',), ['0x1.2b1812e0482bap+1', '0x1.23d448e724029p-2']),
+    ('max_raster_yield', ('four-mux',), ['0x1.2b17eeab9e5fdp+3', '0x1.23d448e72f108p-2']),
+    ('raster_crossover', (0.05,), ['0x1.791cdc5f90c18p+6']),
+    ('raster_crossover', (0.1,), ['0x1.6f2f232e296a0p+5']),
+    ('ghz_improvement_factors', (48, 0.05), ['0x1.52f281e300c26p+4', '0x1.c2bc8f56a3e80p+2', '0x1.5cf734154d563p+4']),
+    ('ghz_improvement_factors', (24, 0.2), ['0x1.f60f45541850dp+2', '0x1.21198f6730717p+2', '0x1.03fee3fee802ep+3']),
+    ('enlarged_gmzi_mux_reduction', (), ['0x1.8e1385c855d0bp+0']),
+    ('enlarged_gmzi_mux_reduction', (0.9, 0.1, 0.3), ['0x1.b150e2a704fa3p+1']),
+]
+
+
+def _bits(value) -> list:
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, dict):
+        value = [value[key] for key in sorted(value)]
+    if not isinstance(value, (tuple, list)):
+        value = [value]
+    return [v.hex() if isinstance(v, float) else v for v in value]
+
+
+@pytest.mark.parametrize("name, args, bits", CLOSED_FORM_BITS, ids=[f"{n}{a}" for n, a, _ in CLOSED_FORM_BITS])
+def test_closed_forms_hold_every_bit(name, args, bits):
+    assert _bits(getattr(analytics, name)(*args)) == bits
