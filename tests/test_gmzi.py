@@ -134,6 +134,14 @@ def test_setting_vector_index_roundtrip():
                 call(dev, vec)
 
 
+@pytest.mark.parametrize("vec", [(1, 5), (2, 0), (-1, 0), (0, -1)])
+@pytest.mark.parametrize("call", ["setting_index", "setting_angles", "setting_matrix", "setting_permutation"])
+def test_digit_vectors_out_of_range_are_refused(call, vec):
+    # (1, 5) on (2, 2) once routed as the permutation [3, 2, 1, 0]
+    with pytest.raises(ValueError, match="digit out of range"):
+        getattr(gmzi, call)(gmzi.build_gmzi((2, 2)), vec)
+
+
 def test_stage_decomposition_reproduces_passive():
     for n in range(2, 17):
         for spec in gmzi.classify_gmzi_types(n):

@@ -17,6 +17,12 @@ def test_mask_helpers():
         patterns.mask_from_modes([1, 1])
 
 
+def test_modes_from_mask_refuses_a_negative_mask():
+    # -1 >> i stays -1, so a bit loop over a negative mask never ends
+    with pytest.raises(ValueError, match="mask must be >= 0"):
+        patterns.modes_from_mask(-1)
+
+
 def test_paired_usable_patterns():
     pats = patterns.paired_usable_patterns(8)
     assert len(pats) == 16
@@ -136,6 +142,13 @@ def test_subpattern_coverage():
     # too few photons can never cover
     assert patterns.subpattern_coverage(8, 3, routable) == 0
     assert patterns.subpattern_coverage(8, 0, routable) == 0
+
+
+@pytest.mark.parametrize("n_modes, n_photons", [(4, 9), (4, -1), (-1, 0)])
+def test_subpattern_coverage_refuses_photons_outside_the_modes(n_modes, n_photons):
+    # (4, 9) has no pattern at all, which was Fraction(0, 0)
+    with pytest.raises(ValueError, match="need 0 <= n_photons <= n_modes"):
+        patterns.subpattern_coverage(n_modes, n_photons, [])
 
 
 def test_route_two_layer_four_all_patterns():
