@@ -241,17 +241,18 @@ def setting_vector(dev: GmziDevice, index: int) -> tuple[int, ...]:
 
 def setting_index(dev: GmziDevice, vector) -> int:
     vector = _as_vector(dev, vector)
-    if not all(0 <= v < n for v, n in zip(vector, dev.factors)):
-        raise ValueError("digit out of range")
     return sum(v * place for v, place in zip(vector, _mixed_radix(dev.factors)[1].tolist()))
 
 
 def _as_vector(dev: GmziDevice, k) -> tuple[int, ...]:
+    """Digit vector of a setting given by index or by digits; ValueError unless each digit is in [0, n_l)."""
     if isinstance(k, (int, np.integer)):
         return setting_vector(dev, int(k))
     vector = tuple(int(v) for v in k)
     if len(vector) != len(dev.factors):
         raise ValueError("digit vector length mismatch")
+    if not all(0 <= v < n for v, n in zip(vector, dev.factors)):
+        raise ValueError("digit out of range")
     return vector
 
 
@@ -433,7 +434,7 @@ def active_setting_angles(dev: GmziDevice, restrict_to=None) -> np.ndarray:
     """
     rows = all_setting_angles(dev)
     if restrict_to is not None:
-        rows = rows[[setting_index(dev, _as_vector(dev, k)) for k in restrict_to]]
+        rows = rows[[setting_index(dev, k) for k in restrict_to]]
     if dev.offsets is not None:
         rows = canonical_angle(rows - dev.offsets)
     return rows - rows.max(axis=1, keepdims=True)

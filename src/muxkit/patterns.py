@@ -61,6 +61,8 @@ def mask_from_modes(modes: Iterable[int]) -> int:
 
 
 def modes_from_mask(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError("mask must be >= 0")
     out = []
     i = 0
     while mask >> i:
@@ -244,6 +246,8 @@ def subpattern_coverage(n_modes: int, n_photons: int, routable: Iterable[int]) -
 
     Models lossless blocking of excess photons before the coupler layer.
     """
+    if not 0 <= n_photons <= n_modes:
+        raise ValueError("need 0 <= n_photons <= n_modes")
     routable = tuple(routable)
     hits = 0
     total = 0
