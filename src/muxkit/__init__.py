@@ -1,8 +1,7 @@
 """muxkit: switch-network design and yield analysis for multiplexed photon sources.
 
 Submodules:
-    linalg      unitary helpers, tensor constructions, permutation checks
-    gmzi        abelian-group switch devices: classification, settings, stages
+    gmzi        abelian-group switch devices: classification, settings, stages, transfer matrices
     networks    composite mux topologies and their cost metrics
     patterns    photon-pattern routability searches over coupler layers
     analytics   closed-form success, yield and footprint formulas
@@ -17,7 +16,6 @@ from . import (
     analytics,
     gmzi,
     gridmux,
-    linalg,
     logic,
     networks,
     patterns,
@@ -31,7 +29,6 @@ __all__ = [
     "analytics",
     "gmzi",
     "gridmux",
-    "linalg",
     "logic",
     "networks",
     "patterns",

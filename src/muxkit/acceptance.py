@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from . import analytics, gmzi, gridmux, logic, patterns, temporal
-from .linalg import equal_up_to_global_phase, perm_matrix
 from .simkit import estimate, substream
 
 __all__ = ["CheckResult", "run_all", "reproducibility_probe", "CHECKS"]
@@ -91,7 +90,7 @@ def _check_device(dev: gmzi.GmziDevice) -> tuple[bool, float]:
     latin = (np.sort(table, axis=0) == want[:, None]).all() and (np.sort(table, axis=1) == want).all()
     err = float(np.abs(gmzi.decompose_stages(dev).matrix() - dev.passive()).max())
     ok = bool(latin) and err <= 1e-9 and all(
-        equal_up_to_global_phase(gmzi.setting_matrix(dev, k), perm_matrix(gmzi.setting_permutation(dev, k)), tol=1e-9)
+        gmzi._global_phase(gmzi.setting_matrix(dev, k), gmzi._perm_matrix(gmzi.setting_permutation(dev, k)), 1e-9) is not None
         for k in range(dev.n_settings)
     )
     return ok, err

@@ -20,15 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import check_size
-from .linalg import (
-    canonical_angle,
-    cyclic_perm,
-    dft_matrix,
-    is_complex_hadamard,
-    kron_all,
-    perm_matrix,
-    phases_to_diag,
-)
 
 __all__ = [
     "GmziDevice",
@@ -66,6 +57,75 @@ __all__ = [
     "hadamard_2",
     "coupler_hc",
 ]
+
+
+# ---------------------------------------------------------------------------
+# transfer matrices of the device parts: DFT blocks, permutations, phase layers
+
+def _dft_matrix(n: int) -> np.ndarray:
+    """n-mode discrete-Fourier interferometer, entry (s, t) = exp(+i 2pi s t / n) / sqrt(n)."""
+    if n < 1:
+        raise ValueError("dft_matrix needs n >= 1")
+    s, t = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.exp(2j * np.pi * s * t / n) / np.sqrt(n)
+
+
+def _kron_all(factors) -> np.ndarray:
+    """Kronecker product of matrices, left to right (the left factor on the slow index); eye(1) for none."""
+    factors = list(factors)
+    return functools.reduce(np.kron, factors) if factors else np.eye(1, dtype=complex)
+
+
+def _perm_matrix(mapping) -> np.ndarray:
+    """Permutation matrix from a mapping array: mapping[t] = s routes input t to output s."""
+    mapping = np.asarray(mapping, dtype=int)
+    n = mapping.size
+    if sorted(mapping.tolist()) != list(range(n)):
+        raise ValueError("not a permutation mapping")
+    mat = np.zeros((n, n), dtype=complex)
+    mat[mapping, np.arange(n)] = 1.0
+    return mat
+
+
+def _cyclic_perm(n: int, power: int = 1) -> np.ndarray:
+    """Matrix of the cyclic shift t -> (t + power) mod n."""
+    return _perm_matrix((np.arange(n) + power) % n)
+
+
+def _canonical_angle(theta) -> np.ndarray:
+    """Reduce angles to the canonical branch (-2pi, 0]; adding 0.0 turns the -0.0 of a multiple of 2pi into 0.0."""
+    return np.mod(np.asarray(theta, dtype=float), -2.0 * np.pi) + 0.0
+
+
+def _phases_to_diag(angles) -> np.ndarray:
+    """Diagonal phase layer diag(exp(i * angles))."""
+    return np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
+
+
+def _is_complex_hadamard(mat, tol: float) -> bool:
+    """True iff mat is square and unitary with every entry of modulus 1/sqrt(N), each within tol."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        return False
+    n = mat.shape[0]
+    unitary = np.max(np.abs(mat.conj().T @ mat - np.eye(n))) <= tol
+    return bool(unitary and np.max(np.abs(np.abs(mat) - 1.0 / np.sqrt(n))) <= tol)
+
+
+def _global_phase(a, b, tol: float) -> complex | None:
+    """The unit-modulus lam with a = lam * b within tol, or None if there is none."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return None
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[idx]) <= tol:
+        return 1.0 + 0.0j if np.max(np.abs(a)) <= tol else None
+    lam = a[idx] / b[idx]
+    if abs(abs(lam) - 1.0) > max(tol, 1e-8):
+        return None
+    lam = lam / abs(lam)
+    return None if np.max(np.abs(a - lam * b)) > tol else complex(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +255,7 @@ class GmziDevice:
         return self.n_modes
 
     def passive(self) -> np.ndarray:
-        return kron_all(dft_matrix(n) for n in self.factors)
+        return _kron_all(_dft_matrix(n) for n in self.factors)
 
 
 def build_gmzi(factors, offsets=None) -> GmziDevice:
@@ -267,7 +327,7 @@ def _angles(factors: tuple[int, ...], k_digits: np.ndarray) -> np.ndarray:
     frac = np.zeros((len(k_digits), len(digits)))
     for l, n in enumerate(factors):
         frac = frac + np.multiply.outer(k_digits[:, l], digits[:, l]) / n
-    return canonical_angle(-2.0 * np.pi * frac)
+    return _canonical_angle(-2.0 * np.pi * frac)
 
 
 def setting_angles(dev: GmziDevice, k) -> np.ndarray:
@@ -297,17 +357,13 @@ def setting_matrix(dev: GmziDevice, k) -> np.ndarray:
     idx = setting_index(dev, kvec)
     w = dev.passive()
     phases = setting_angles(dev, kvec) + dev.setting_phases[idx]
-    return w @ phases_to_diag(phases) @ w.conj().T
+    return w @ _phases_to_diag(phases) @ w.conj().T
 
 
 def setting_permutation(dev: GmziDevice, k) -> np.ndarray:
     """Mapping array of setting k: digit-wise cyclic shifts t_l -> t_l + k_l."""
     digits, place = _mixed_radix(dev.factors)
     return ((digits + np.array(_as_vector(dev, k), dtype=np.int64)) % dev.factors) @ place
-
-
-def setting_permutation_matrix(dev: GmziDevice, k) -> np.ndarray:
-    return kron_all(cyclic_perm(n, kl) for n, kl in zip(dev.factors, _as_vector(dev, k)))
 
 
 def routing_table(dev: GmziDevice) -> np.ndarray:
@@ -363,11 +419,11 @@ class Stage:
     post: np.ndarray
 
     def block(self) -> np.ndarray:
-        return dft_matrix(self.block_size)
+        return _dft_matrix(self.block_size)
 
     def matrix(self) -> np.ndarray:
-        local = kron_all([np.eye(self.n_blocks)] + [self.block()])
-        return perm_matrix(self.post) @ local @ perm_matrix(self.pre)
+        local = np.kron(np.eye(self.n_blocks), self.block())
+        return _perm_matrix(self.post) @ local @ _perm_matrix(self.pre)
 
     def crossings(self) -> int:
         """Wire crossings = permutation inversions; identity counts zero."""
@@ -436,7 +492,7 @@ def active_setting_angles(dev: GmziDevice, restrict_to=None) -> np.ndarray:
     if restrict_to is not None:
         rows = rows[[setting_index(dev, k) for k in restrict_to]]
     if dev.offsets is not None:
-        rows = canonical_angle(rows - dev.offsets)
+        rows = _canonical_angle(rows - dev.offsets)
     return rows - rows.max(axis=1, keepdims=True)
 
 
@@ -480,7 +536,7 @@ def check_mux_lemma(passive, setting_angle_rows=None, tol: float = 1e-9) -> MuxL
         rows = np.asarray(setting_angle_rows, dtype=float)
     n = v.shape[0]
     mod_dev = float(np.max(np.abs(np.abs(v) - 1.0 / np.sqrt(n))))
-    hadamard_ok = is_complex_hadamard(v, tol=tol)
+    hadamard_ok = _is_complex_hadamard(v, tol)
     vectors = np.exp(1j * rows) / np.sqrt(n)
     gram = vectors @ vectors.conj().T
     gram_dev = float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
@@ -582,9 +638,9 @@ def switchable_pairwise_coupler(dev: GmziDevice, input_port: int, out_a: int, ou
     mix = np.exp(-0.5j * phi) * (np.cos(phi / 2) * d_a + 1j * np.sin(phi / 2) * d_b)
     if np.max(np.abs(np.abs(mix) - 1.0)) > 1e-9:
         raise ValueError("mixed setting is not a pure phase vector")
-    angles = canonical_angle(np.angle(mix))
+    angles = _canonical_angle(np.angle(mix))
     w = dev.passive()
-    matrix = w @ phases_to_diag(angles) @ w.conj().T
+    matrix = w @ _phases_to_diag(angles) @ w.conj().T
     return angles, matrix
 
 
@@ -639,7 +695,7 @@ def half_range_mzi(select: bool, variant: str = "hc") -> np.ndarray:
     active = half_range_active_phases(select)
     total = np.asarray(HALF_RANGE_OFFSET) + active
     h = hadamard_2()
-    core = h @ phases_to_diag(total) @ h
+    core = h @ _phases_to_diag(total) @ h
     if variant == "hc":
         return core
     if variant == "h":
@@ -659,8 +715,8 @@ def enlarged_gmzi_factorization(n1: int, n2: int, k1: int, k2: int):
     be driven independently, giving n1 * n2 jointly addressable settings.
     """
     n1, n2 = cyclic_spec((n1, n2))
-    c1 = cyclic_perm(n1, k1 % n1)
-    c2 = cyclic_perm(n2, k2 % n2)
+    c1 = _cyclic_perm(n1, k1 % n1)
+    c2 = _cyclic_perm(n2, k2 % n2)
     stage_1 = np.kron(c1, np.eye(n2))
     stage_2 = np.kron(np.eye(n1), c2)
     combined = np.kron(c1, c2)

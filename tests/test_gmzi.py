@@ -1,4 +1,8 @@
-"""Switch devices: classification, permutation action, swings, orthogonality."""
+"""Switch devices: transfer-matrix parts, classification, permutation action, swings, orthogonality.
+
+Permutation matrices are read back by test-local oracles (`_matrix_to_mapping`,
+`_setting_permutation_matrix`); the library itself routes by mapping arrays.
+"""
 
 import hashlib
 import json
@@ -10,15 +14,157 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muxkit import gmzi, networks
-from muxkit.linalg import (
-    canonical_angle,
-    dft_matrix,
-    equal_up_to_global_phase,
-    is_permutation_matrix,
-    is_unitary,
-    matrix_to_mapping,
-    perm_matrix,
-)
+
+RNG = np.random.default_rng(20260814)
+
+
+# ---------------------------------------------------------------------------
+# oracles: permutation matrices read back, unitarity, equality up to a phase
+
+def _matrix_to_mapping(mat, tol: float = 1e-10) -> np.ndarray:
+    """Mapping array of a permutation matrix whose entries may carry phases; ValueError unless it is one within tol."""
+    mat = np.asarray(mat)
+    n = mat.shape[0]
+    mapping = np.argmax(np.abs(mat), axis=0)
+    if sorted(mapping.tolist()) != list(range(n)):
+        raise ValueError("matrix is not a permutation")
+    # one unit-modulus entry per column, zeros elsewhere
+    check = np.zeros_like(mat)
+    check[mapping, np.arange(n)] = mat[mapping, np.arange(n)]
+    if np.max(np.abs(np.abs(mat[mapping, np.arange(n)]) - 1.0)) > tol:
+        raise ValueError("matrix is not a permutation within tolerance")
+    if np.max(np.abs(mat - check)) > tol:
+        raise ValueError("matrix is not a permutation within tolerance")
+    return mapping
+
+
+def _is_permutation_matrix(mat, tol: float = 1e-10) -> bool:
+    try:
+        _matrix_to_mapping(mat, tol)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_unitary(mat, tol: float = 1e-10) -> bool:
+    mat = np.asarray(mat)
+    square = mat.ndim == 2 and mat.shape[0] == mat.shape[1]
+    return square and bool(np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) <= tol)
+
+
+def _same_up_to_phase(a, b, tol: float = 1e-10) -> bool:
+    return gmzi._global_phase(a, b, tol) is not None
+
+
+def _setting_permutation_matrix(dev, k: int) -> np.ndarray:
+    """Setting k as the Kronecker product of its single-factor cyclic shifts."""
+    return gmzi._kron_all(gmzi._cyclic_perm(n, kl) for n, kl in zip(dev.factors, gmzi.setting_vector(dev, k)))
+
+
+# ---------------------------------------------------------------------------
+# transfer-matrix parts: DFT blocks, permutations, phase layers
+
+def test_dft_matrix_is_complex_hadamard():
+    for n in range(1, 17):
+        w = gmzi._dft_matrix(n)
+        assert w.shape == (n, n)
+        assert _is_unitary(w)
+        assert gmzi._is_complex_hadamard(w, 1e-10)
+        # row/column 0 are flat
+        assert np.allclose(w[0], 1.0 / np.sqrt(n))
+        assert np.allclose(w[:, 0], 1.0 / np.sqrt(n))
+
+
+def test_dft_matrix_rejects_bad_n():
+    with pytest.raises(ValueError):
+        gmzi._dft_matrix(0)
+
+
+def test_dft_diagonalizes_cyclic_shift():
+    # W^dag C W must be diagonal with unit-modulus entries
+    for n in (2, 3, 4, 6, 8):
+        w = gmzi._dft_matrix(n)
+        c = gmzi._cyclic_perm(n, 1)
+        d = w.conj().T @ c @ w
+        assert np.abs(d - np.diag(np.diag(d))).max() < 1e-9
+        assert np.allclose(np.abs(np.diag(d)), 1.0)
+
+
+def test_cyclic_perm_power_composition():
+    for n in (2, 3, 5, 9):
+        for a in range(n):
+            for b in range(n):
+                lhs = gmzi._cyclic_perm(n, a) @ gmzi._cyclic_perm(n, b)
+                rhs = gmzi._cyclic_perm(n, (a + b) % n)
+                assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_perm_matrix_mapping_roundtrip():
+    for _ in range(50):
+        n = int(RNG.integers(1, 12))
+        mapping = RNG.permutation(n)
+        mat = gmzi._perm_matrix(mapping)
+        assert _is_permutation_matrix(mat)
+        back = _matrix_to_mapping(mat)
+        assert np.array_equal(back, mapping)
+
+
+def test_perm_matrix_rejects_non_permutation():
+    with pytest.raises(ValueError):
+        gmzi._perm_matrix([0, 0, 1])
+    with pytest.raises(ValueError):
+        _matrix_to_mapping(np.ones((3, 3)))
+    # unitary but not a permutation
+    assert not _is_permutation_matrix(gmzi._dft_matrix(4))
+
+
+def test_matrix_to_mapping_tolerates_entry_phases():
+    mapping = np.array([2, 0, 1])
+    mat = gmzi._perm_matrix(mapping) * np.exp(0.31j)
+    assert np.array_equal(_matrix_to_mapping(mat), mapping)
+
+
+def test_global_phase_between():
+    a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+    lam = np.exp(1.234j)
+    assert abs(gmzi._global_phase(lam * a, a, 1e-10) - lam) < 1e-12
+    assert _same_up_to_phase(lam * a, a)
+    assert not _same_up_to_phase(a + 0.1, a)
+    assert gmzi._global_phase(a, np.zeros_like(a), 1e-10) is None
+
+
+def test_equal_up_to_global_phase_zero_pair():
+    z = np.zeros((3, 3), dtype=complex)
+    assert _same_up_to_phase(z, z)
+
+
+def test_canonical_angle_branch():
+    # canonical branch is (-2pi, 0]
+    th = RNG.uniform(-20, 20, size=200)
+    out = gmzi._canonical_angle(th)
+    assert np.all(out <= 0.0)
+    assert np.all(out > -2 * np.pi)
+    assert np.allclose(np.exp(1j * out), np.exp(1j * th))
+    assert gmzi._canonical_angle(0.0) == 0.0
+    assert gmzi._canonical_angle(2 * np.pi) == 0.0
+
+
+def test_phases_to_diag():
+    ang = np.array([0.0, -np.pi / 2, np.pi])
+    d = gmzi._phases_to_diag(ang)
+    assert np.allclose(np.diag(d), np.exp(1j * ang))
+    assert np.abs(d - np.diag(np.diag(d))).max() == 0.0
+
+
+def test_kron_all_matches_numpy():
+    mats = [RNG.standard_normal((k, k)) for k in (2, 3, 2)]
+    expect = np.kron(np.kron(mats[0], mats[1]), mats[2])
+    assert np.allclose(gmzi._kron_all(mats), expect)
+    assert np.array_equal(gmzi._kron_all([]), np.eye(1))
+
+
+# ---------------------------------------------------------------------------
+# device types, settings and their permutations
 
 
 def _partition_count(n: int) -> int:
@@ -93,12 +239,10 @@ def test_every_device_switches_by_permutations():
             table = gmzi.routing_table(dev)
             for k in range(n):
                 mat = gmzi.setting_matrix(dev, k)
-                assert is_permutation_matrix(mat, tol=1e-9)
-                mapping = matrix_to_mapping(mat, tol=1e-9)
+                assert _is_permutation_matrix(mat, tol=1e-9)
+                mapping = _matrix_to_mapping(mat, tol=1e-9)
                 assert np.array_equal(mapping, table[k])
-                assert equal_up_to_global_phase(
-                    mat, gmzi.setting_permutation_matrix(dev, k), tol=1e-9
-                )
+                assert _same_up_to_phase(mat, _setting_permutation_matrix(dev, k), tol=1e-9)
                 assert table[k][0] == k
             # Latin square: every column of the table is a permutation too
             for col in table.T:
@@ -183,7 +327,7 @@ def test_offsets_do_not_change_the_permutations():
             w = plain.passive()
             ang = gmzi.setting_angles(shifted, k)
             mat = w @ np.diag(np.exp(1j * ang)) @ w.conj().T
-            assert equal_up_to_global_phase(mat, gmzi.setting_matrix(plain, k), tol=1e-9)
+            assert _same_up_to_phase(mat, gmzi.setting_matrix(plain, k), tol=1e-9)
 
 
 def test_swing_restriction_to_subset():
@@ -202,7 +346,7 @@ def test_ternary_six_mode_settings_are_orthogonal():
     vecs = np.exp(1j * rows) / np.sqrt(6)
     gram = vecs @ vecs.conj().T
     assert np.abs(gram - np.eye(6)).max() < 1e-9
-    report = gmzi.check_mux_lemma(dft_matrix(6), rows)
+    report = gmzi.check_mux_lemma(gmzi._dft_matrix(6), rows)
     assert report.ok
     # swing of the whole table is 4pi/3, of the first four rows 2pi/3
     spans = rows.max(axis=0) - rows.min(axis=0)
@@ -264,7 +408,7 @@ def test_switchable_pairwise_coupler():
     p_in, out_a, out_b = 0, 3, 5
     for phi in np.linspace(0.0, np.pi, 9):
         angles, mat = gmzi.switchable_pairwise_coupler(dev, p_in, out_a, out_b, phi)
-        assert is_unitary(mat, tol=1e-10)
+        assert _is_unitary(mat, tol=1e-10)
         # all amplitude stays on the two chosen ports, split by phi
         col = mat[:, p_in]
         assert abs(abs(col[out_a]) ** 2 - np.cos(phi / 2) ** 2) < 1e-9
@@ -273,9 +417,9 @@ def test_switchable_pairwise_coupler():
         assert max(others) < 1e-9
     # endpoints are the two pure settings
     _, m0 = gmzi.switchable_pairwise_coupler(dev, p_in, out_a, out_b, 0.0)
-    assert equal_up_to_global_phase(m0, gmzi.setting_matrix(dev, p_in ^ out_a), tol=1e-9)
+    assert _same_up_to_phase(m0, gmzi.setting_matrix(dev, p_in ^ out_a), tol=1e-9)
     _, m1 = gmzi.switchable_pairwise_coupler(dev, p_in, out_a, out_b, np.pi)
-    assert equal_up_to_global_phase(m1, gmzi.setting_matrix(dev, p_in ^ out_b), tol=1e-9)
+    assert _same_up_to_phase(m1, gmzi.setting_matrix(dev, p_in ^ out_b), tol=1e-9)
     with pytest.raises(ValueError):
         gmzi.switchable_pairwise_coupler(gmzi.build_gmzi((4,)), 0, 1, 2, 0.5)
     for ports in ((8, 3, 5), (-1, 3, 5), (0, 8, 5), (0, 3, -1)):
@@ -286,11 +430,11 @@ def test_switchable_pairwise_coupler():
 def test_half_range_mzi():
     ident = gmzi.half_range_mzi(False, "hc")
     cross = gmzi.half_range_mzi(True, "hc")
-    assert equal_up_to_global_phase(ident, np.eye(2), tol=1e-12)
-    assert equal_up_to_global_phase(cross, gmzi.coupler_hc().conj().T, tol=1e-12)
+    assert _same_up_to_phase(ident, np.eye(2), tol=1e-12)
+    assert _same_up_to_phase(cross, gmzi.coupler_hc().conj().T, tol=1e-12)
     for variant in ("hc", "h"):
         for select in (False, True):
-            assert is_unitary(gmzi.half_range_mzi(select, variant), tol=1e-12)
+            assert _is_unitary(gmzi.half_range_mzi(select, variant), tol=1e-12)
     # the active part only ever moves by a quarter of a pi
     sel = gmzi.half_range_active_phases(True)
     unsel = gmzi.half_range_active_phases(False)
@@ -308,11 +452,11 @@ def test_enlarged_gmzi_factorization():
                 assert np.array_equal(combined, s1 @ s2)
                 assert np.array_equal(combined, s2 @ s1)
                 expect = np.kron(
-                    perm_matrix((np.arange(n1) + k1) % n1),
-                    perm_matrix((np.arange(n2) + k2) % n2),
+                    gmzi._perm_matrix((np.arange(n1) + k1) % n1),
+                    gmzi._perm_matrix((np.arange(n2) + k2) % n2),
                 )
                 assert np.array_equal(combined, expect)
-                seen.add(tuple(matrix_to_mapping(combined)))
+                seen.add(tuple(_matrix_to_mapping(combined)))
         # the two stages address n1 * n2 distinct joint settings
         assert len(seen) == n1 * n2
     with pytest.raises(ValueError):
@@ -532,7 +676,7 @@ def _loop_angles(factors):
         return out[::-1]
 
     n = math.prod(factors)
-    return canonical_angle([
+    return gmzi._canonical_angle([
         [-2.0 * np.pi * sum(kl * tl / nl for kl, tl, nl in zip(digits(k), digits(t), factors)) for t in range(n)]
         for k in range(n)
     ])
@@ -557,7 +701,7 @@ def test_routing_table_is_the_kronecker_shift_group(factors):
     assert (np.sort(table, axis=0) == want[:, None]).all()
     assert (np.sort(table, axis=1) == want[None, :]).all()
     for k in range(n):
-        oracle = matrix_to_mapping(gmzi.setting_permutation_matrix(dev, k))
+        oracle = _matrix_to_mapping(_setting_permutation_matrix(dev, k))
         assert np.array_equal(table[k], oracle)
         assert np.array_equal(gmzi.setting_permutation(dev, k), oracle)
 
