@@ -87,7 +87,7 @@ def _perm_matrix(mapping) -> np.ndarray:
     return mat
 
 
-def _cyclic_perm(n: int, power: int = 1) -> np.ndarray:
+def _cyclic_perm(n: int, power: int) -> np.ndarray:
     """Matrix of the cyclic shift t -> (t + power) mod n."""
     return _perm_matrix((np.arange(n) + power) % n)
 
