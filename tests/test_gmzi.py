@@ -286,6 +286,14 @@ def test_digit_vectors_out_of_range_are_refused(call, vec):
         getattr(gmzi, call)(gmzi.build_gmzi((2, 2)), vec)
 
 
+@pytest.mark.parametrize("k", [True, np.True_, 1.5, np.float64(1.0), (1.7, 0), (True, 0), (1, np.float64(0.0))])
+@pytest.mark.parametrize("call", ["setting_vector", "setting_index", "setting_angles", "setting_matrix", "setting_permutation"])
+def test_setting_indices_and_digits_are_ints(call, k):
+    # True gave the whole digit table, 1.5 raised IndexError or TypeError, and (1.7, 0) read as (1, 0)
+    with pytest.raises(ValueError, match="must be an int"):
+        getattr(gmzi, call)(gmzi.build_gmzi((2, 2)), k)
+
+
 def test_stage_decomposition_reproduces_passive():
     for n in range(2, 17):
         for spec in gmzi.classify_gmzi_types(n):
@@ -517,6 +525,17 @@ def test_build_gmzi_argument_checks():
         gmzi.build_gmzi((0, 2))
     with pytest.raises(ValueError):
         gmzi.build_gmzi((2, 2), offsets=(0.0,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_offsets_are_refused(bad):
+    # nan gave a nan phase_swing, and inf was written to JSON as Infinity
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        gmzi.build_gmzi((2,), offsets=[bad, 0.0])
+    doc = json.loads(gmzi.device_to_json(gmzi.build_gmzi((2,), offsets=[0.5, 0.0])))
+    doc["offsets"][0] = bad
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        gmzi.device_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("bad", [[2.7], [True, 2], [np.float64(4.0), 2], [np.True_], ["2"], [0, 2], [-1, -4]])

@@ -199,8 +199,9 @@ def test_simulate_yield_endpoints():
     assert pt.estimate.stderr == 0.0
     pt0 = gridmux.simulate_grid_yield(cfg, 0.0, trials=10, seed=0)
     assert pt0.estimate.mean == 0.0
-    with pytest.raises(ValueError):
-        gridmux.simulate_grid_yield(cfg, 0.1, trials=1, seed=0)
+    for trials, seed in ((1, 0), (16.0, 1), (16, 1.5)):
+        with pytest.raises(ValueError):
+            gridmux.simulate_grid_yield(cfg, 0.1, trials=trials, seed=seed)
 
 
 def test_simulate_yield_reproducible():

@@ -85,3 +85,21 @@ def test_trial_streams_equal_substreams():
             simkit.substream(42, t)
         with pytest.raises(OverflowError):
             simkit.TrialStreams(42).trial(t)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.float64(1.0), True, np.True_, "1"])
+def test_seeds_trial_indices_and_trial_counts_are_ints(bad):
+    # substream(42, 1.5) and substream(42, True) drew trial 1, and a float trial count raised TypeError
+    calls = {
+        "seed": [
+            lambda: simkit.substream(bad, 1),
+            lambda: simkit.TrialStreams(bad),
+            lambda: simkit.run_trials(np.copy, (2,), 0.5, 4, bad),
+        ],
+        "trial index": [lambda: simkit.substream(42, bad), lambda: simkit.TrialStreams(42).trial(bad)],
+        "trials": [lambda: simkit.run_trials(np.copy, (2,), 0.5, bad, 1)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                fn()

@@ -621,7 +621,7 @@ def test_raster_rejects_invalid_sizes():
     for strategy in ("one-mux", "two-mux"):
         with pytest.raises(ValueError):
             temporal.raster_simulate(strategy, 0, 0.1, enhanced=False, trials=50, seed=1)
-        for steps in (0, -4):
+        for steps in (0, -4, 8.0):
             with pytest.raises(ValueError):
                 temporal.raster_simulate(strategy, 16, 0.1, enhanced=True, trials=50, seed=1, steps=steps)
 
