@@ -7,6 +7,8 @@ count to `check_size` before it allocates anything.  The README copies LIMITS.
 
 import math
 
+import numpy as np
+
 # name: (bound, what is counted, what holds it), each followed by the reason for its bound
 LIMITS: dict[str, tuple[int, str, str]] = {
     "range-points": (1 << 16, "points", "a lo:hi:step range"),  # the largest range perfbench asks for has 64
@@ -47,3 +49,10 @@ def check_finite(name: str, *values: float) -> None:
     for value in values:
         if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, not {value!r}")
+
+
+def check_int(name: str, *values) -> None:
+    """Raise ValueError unless every value is a Python or numpy int; bools are refused."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, not {value!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._limits import check_size
+from ._limits import check_finite, check_int, check_size
 
 __all__ = [
     "GmziDevice",
@@ -264,7 +264,7 @@ def build_gmzi(factors, offsets=None) -> GmziDevice:
     offsets, if given, is a length-N vector of fixed phase-shifter offsets;
     they change the physically applied settings (see active_setting_angles)
     but not the implemented permutations, up to per-setting global phases.
-    Raises ValueError above the `device-modes` bound of `muxkit._limits`.
+    Raises ValueError above the `device-modes` bound of `muxkit._limits` or for non-finite offsets.
     """
     factors = cyclic_spec(factors)
     if not factors:
@@ -275,6 +275,7 @@ def build_gmzi(factors, offsets=None) -> GmziDevice:
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != (n_modes,):
             raise ValueError("offsets must have one entry per mode")
+        check_finite("offsets", *offsets.tolist())
     return GmziDevice(factors=factors, n_modes=n_modes, offsets=offsets)
 
 
@@ -293,7 +294,8 @@ def _mixed_radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def setting_vector(dev: GmziDevice, index: int) -> tuple[int, ...]:
-    """Mixed-radix digit vector (k1, ..., kr) of a setting index (row-major)."""
+    """Mixed-radix digit vector (k1, ..., kr) of a setting index (row-major); the index is an int."""
+    check_int("setting index", index)
     if not 0 <= index < dev.n_settings:
         raise ValueError("setting index out of range")
     return tuple(_mixed_radix(dev.factors)[0][index].tolist())
@@ -305,10 +307,12 @@ def setting_index(dev: GmziDevice, vector) -> int:
 
 
 def _as_vector(dev: GmziDevice, k) -> tuple[int, ...]:
-    """Digit vector of a setting given by index or by digits; ValueError unless each digit is in [0, n_l)."""
-    if isinstance(k, (int, np.integer)):
-        return setting_vector(dev, int(k))
-    vector = tuple(int(v) for v in k)
+    """Digit vector of a setting given by index or by digits; ValueError unless each is an int in range."""
+    if not np.iterable(k):
+        return setting_vector(dev, k)
+    vector = tuple(k)
+    check_int("setting digit", *vector)
+    vector = tuple(map(int, vector))
     if len(vector) != len(dev.factors):
         raise ValueError("digit vector length mismatch")
     if not all(0 <= v < n for v, n in zip(vector, dev.factors)):

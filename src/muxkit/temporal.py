@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import analytics
-from ._limits import check_probability, check_size
+from ._limits import check_int, check_probability, check_size
 from .simkit import Estimate, reduce_values, run_trials
 
 __all__ = [
@@ -532,6 +532,7 @@ def raster_simulate(
         supported = ", ".join([*RASTER_GROUP_STEPS, *analytics.RASTER_ALIASES])
         raise ValueError(f"cannot simulate raster strategy {strategy!r}; supported: {supported}")
     run = RASTER_GROUP_STEPS[name]
+    check_int("steps", steps)
     if steps < 4 or steps % 4:
         raise ValueError("steps must be a positive multiple of the 4-step period")
     q = analytics.p_mux_single(n_sources // m, p)
