@@ -1,18 +1,19 @@
 """Seeded Monte-Carlo engine with splittable, schedule-independent substreams.
 
-Every trial draws from its own counter-based Philox stream keyed by
-(seed, trial_index), so results do not depend on execution order and any
-subset of trials can be reproduced in isolation.  A Monte-Carlo call keeps
-one generator for all of its trials and resets its key per trial, which
-draws the same numbers as a fresh substream without building one.
+Every trial draws from its own counter-based Philox stream keyed by the
+ints (seed, trial_index), so results do not depend on execution order and
+any subset of trials can be reproduced in isolation.  A Monte-Carlo call
+keeps one generator for all of its trials and resets its key per trial,
+which draws the same numbers as a fresh substream without building one.
 
-The simulators run in three steps through ``run_trials``: draw a block of
-trials, row i of a block starting at trial ``start`` being the uniforms of
-``substream(seed, start + i)``; run one kernel over the block;
-reduce the per-trial values with ``reduce_values``.  A block holds at most
-``_BLOCK_BYTES`` (1 MiB) of doubles, or a single trial when one trial is
-larger, so memory stays flat however many trials run.  One trial may draw
-at most the ``trial-uniforms`` bound of ``muxkit._limits``.
+The simulators and the acceptance probe run in three steps through
+``run_trials``: draw a block of trials, row i of a block starting at trial
+``start`` being the uniforms of ``substream(seed, start + i)``; run one
+kernel over the block; reduce the per-trial values with ``reduce_values``,
+the one reduction.  A block holds at most ``_BLOCK_BYTES`` (1 MiB) of
+doubles, or a single trial when one trial is larger, so memory stays flat
+however many trials run.  One trial may draw at most the
+``trial-uniforms`` bound of ``muxkit._limits``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._limits import check_probability, check_size
+from ._limits import check_int, check_probability, check_size
 
-__all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "estimate", "reduce_values"]
+__all__ = ["Estimate", "substream", "TrialStreams", "run_trials", "reduce_values"]
 
 _BLOCK_BYTES = 1 << 20  # cap on one block of uniforms
 
@@ -39,13 +40,11 @@ class Estimate:
     trials: int
     seed: int
 
-    def within(self, expected: float, sigmas: float = 3.0, floor: float = 0.0) -> bool:
-        """True iff expected lies within sigmas standard errors of the mean."""
-        return abs(self.mean - expected) <= sigmas * self.stderr + floor
-
 
 def substream(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent generator for one trial, keyed by (seed, trial_index), 0 <= trial_index < 2**64."""
+    """Independent generator for one trial, keyed by the ints (seed, trial_index), 0 <= trial_index < 2**64."""
+    check_int("seed", seed)
+    check_int("trial index", trial_index)
     # through int, so a negative numpy index raises as the Python int does instead of wrapping
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(int(trial_index))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -60,6 +59,7 @@ class TrialStreams:
     """
 
     def __init__(self, seed: int):
+        check_int("seed", seed)
         self._key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
         self._state = {
             "bit_generator": "Philox",
@@ -74,6 +74,8 @@ class TrialStreams:
 
     def trial(self, trial_index: int) -> np.random.Generator:
         """The generator, reset to the start of substream(seed, trial_index), 0 <= trial_index < 2**64."""
+        if type(trial_index) is not int:  # run_trials resets once per trial, always with an int
+            check_int("trial index", trial_index)
         self._key[1] = trial_index  # the state setter converts the key to uint64 and range-checks it
         self._bit_generator.state = self._state
         return self._generator
@@ -89,17 +91,18 @@ def run_trials(
     the block to ``kernel``, which returns one row of output per trial.
     ``chunk`` keeps a block within ``_BLOCK_BYTES``, or at one trial when
     a single trial is larger.  Checks the arguments every simulator
-    shares: p in [0, 1], at least two trials, and at most the
-    ``trial-uniforms`` bound of uniforms in one trial.
+    shares: p in [0, 1], an int count of at least two trials, an int seed,
+    and at most the ``trial-uniforms`` bound of uniforms in one trial.
     """
     check_probability(p)
+    check_int("trials", trials)
     if trials < 2:
         raise ValueError("trials must be >= 2")
+    streams = TrialStreams(seed)
     size = math.prod(shape)
     check_size("trial-uniforms", size)
     chunk = min(trials, max(1, _BLOCK_BYTES // (8 * max(1, size))))
     block = np.empty((chunk, *shape), dtype=np.float64)
-    streams = TrialStreams(seed)
     out = []
     for start in range(0, trials, chunk):
         rows = block[: min(chunk, trials - start)]
@@ -109,31 +112,11 @@ def run_trials(
     return np.concatenate(out)
 
 
-def estimate(fn: Callable[[np.random.Generator], float], trials: int, seed: int) -> Estimate:
-    """Run fn once per trial on its own substream and reduce deterministically.
-
-    Args:
-        fn: trial function mapping a per-trial Generator to a real value.
-        trials: number of independent trials (>= 2, for a defined stderr).
-        seed: master seed; trial t uses substream(seed, t).
-
-    Returns:
-        Estimate with mean, stderr (sample std / sqrt(trials); ddof=1) and provenance.
-    """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    values = [float(fn(substream(seed, t))) for t in range(trials)]
-    mean = math.fsum(values) / trials
-    var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
-    stderr = math.sqrt(var / trials)
-    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
-
-
 def reduce_values(values: np.ndarray, seed: int) -> Estimate:
     """Estimate from per-trial values: numpy mean and sample std (ddof=1) / sqrt(n).
 
-    The Monte-Carlo drivers share this reduction; ``estimate`` keeps its
-    compensated sums.  Needs at least two values for a defined stderr.
+    Every Monte-Carlo driver reduces through it.  Needs at least two values
+    for a defined stderr.
     """
     trials = len(values)
     return Estimate(

@@ -10,7 +10,7 @@ import pytest
 
 from muxkit import acceptance
 
-PROBE_SHA256 = "099f8e1e541393d4cbc9a52daa33eda84cb8805c84256b7be98cc20aa93581c4"
+PROBE_SHA256 = "c13fe4f16dfec87b0371ebb928cb43372e1c68e5e7f8f8c4baa465d7c743a1ce"
 
 EXPECTED_NAMES = [
     "device classification",

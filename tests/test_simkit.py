@@ -1,4 +1,4 @@
-"""Monte-Carlo engine: substream independence, determinism, reductions."""
+"""Monte-Carlo engine: substream independence, determinism, argument checks."""
 
 import math
 
@@ -19,25 +19,11 @@ def test_substreams_are_schedule_independent():
     assert not np.array_equal(simkit.substream(42, 0).random(5), simkit.substream(43, 0).random(5))
 
 
-def test_estimate_matches_numpy_oracle():
-    def trial(rng):
-        return float(rng.random() < 0.3)
-
-    est = simkit.estimate(trial, trials=500, seed=11)
-    values = np.array([trial(simkit.substream(11, t)) for t in range(500)])
-    assert est.mean == pytest.approx(values.mean(), abs=1e-15)
-    assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(500), rel=1e-12)
-    assert est.trials == 500 and est.seed == 11
-    # rerun is bit-identical
-    assert simkit.estimate(trial, trials=500, seed=11) == est
+def test_reduce_values_of_run_trials_matches_a_per_substream_oracle():
+    values = np.array([float(simkit.substream(11, t).random() < 0.3) for t in range(500)])
+    est = simkit.reduce_values(simkit.run_trials(lambda u: (u[:, 0] < 0.3).astype(np.float64), (1,), 0.3, 500, 11), 11)
+    assert est == simkit.Estimate(values.mean(), values.std(ddof=1) / math.sqrt(500), 500, 11)
     assert abs(est.mean - 0.3) < 5 * est.stderr
-    assert est.within(0.3, sigmas=5)
-    assert not est.within(0.9)
-
-
-def test_estimate_rejects_single_trial():
-    with pytest.raises(ValueError):
-        simkit.estimate(lambda rng: 0.0, trials=1, seed=0)
 
 
 def test_run_trials_bounds_one_trial():
