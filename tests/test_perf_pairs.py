@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location("perf_pairs", Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py")
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
+_spec = importlib.util.spec_from_file_location("perf_pairs", _TOOL)
 perf_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perf_pairs)
 

@@ -82,7 +82,8 @@ def _report(workload: str, runs: dict[str, list[dict]], metrics: list[dict]) -> 
     ops = {side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)) for side, rs in runs.items()}
     print(f"{workload}: failed/attempted operations: parent {'/'.join(map(str, ops['parent']))}, "
           f"change {'/'.join(map(str, ops['change']))}")
-    print(f"  {'metric':<14}{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}{'change':>8}{'won':>7}  verdict")
+    header = f"{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}{'change':>8}{'won':>7}"
+    print(f"  {'metric':<14}{header}  verdict")
     for m in metrics:
         parent, change = ([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in ("parent", "change"))
         sign = 1.0 if m["better"] == "lower" else -1.0
