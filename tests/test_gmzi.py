@@ -287,7 +287,9 @@ def test_digit_vectors_out_of_range_are_refused(call, vec):
 
 
 @pytest.mark.parametrize("k", [True, np.True_, 1.5, np.float64(1.0), (1.7, 0), (True, 0), (1, np.float64(0.0))])
-@pytest.mark.parametrize("call", ["setting_vector", "setting_index", "setting_angles", "setting_matrix", "setting_permutation"])
+@pytest.mark.parametrize(
+    "call", ["setting_vector", "setting_index", "setting_angles", "setting_matrix", "setting_permutation"]
+)
 def test_setting_indices_and_digits_are_ints(call, k):
     # True gave the whole digit table, 1.5 raised IndexError or TypeError, and (1.7, 0) read as (1, 0)
     with pytest.raises(ValueError, match="must be an int"):
