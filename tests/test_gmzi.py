@@ -565,6 +565,8 @@ def test_cyclic_spec_is_the_one_factor_rule():
     with pytest.raises(ValueError, match="factor") as err:
         gmzi.cyclic_spec((3, 3), order=8)
     assert "order 8" in str(err.value)
+    with pytest.raises(ValueError, match="cyclic factor must be an int, not True"):  # the int rule of _limits
+        gmzi.cyclic_spec((True, 2))
     dev = gmzi.build_gmzi(np.array([2, 2]))
     assert dev.factors == (2, 2) and {type(n) for n in dev.factors} == {int}
 

@@ -617,6 +617,18 @@ def test_group_extraction_rejects_non_integer_limits():
             temporal.simulate_group_extraction(4, 3, p=0.5, trials=4, seed=0, **kw)
 
 
+@pytest.mark.parametrize("bad", ["bins", "max_delay", "max_crossing", "max_groups"])
+def test_group_extraction_refuses_bool_sizes_and_limits(bad):
+    # True ran as 1, or raised numpy's TypeError from the block allocation
+    kw = dict(bins=2, max_delay=2, max_crossing=2, max_groups=2) | {bad: True}
+    with pytest.raises(ValueError, match="must be an int, not True"):
+        temporal.simulate_group_extraction(4, 3, p=0.5, trials=4, seed=0, **kw)
+    if bad != "bins":
+        kw.pop("bins")
+        with pytest.raises(ValueError, match="must be an int, not True"):
+            temporal.extract_photon_groups(4, 3, _occ([[1, 1]] * 4), **kw)
+
+
 def test_raster_rejects_invalid_sizes():
     for strategy in ("one-mux", "two-mux"):
         with pytest.raises(ValueError):
