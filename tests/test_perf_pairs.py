@@ -46,3 +46,10 @@ def test_gain_needs_nine_pairs_in_ten():
     change = _shifted(PARENT, 0.90)
     change[:2] = [PARENT[0], PARENT[1] * 1.01]  # a tie and a loss: 8 of 10 won
     assert perf_pairs.verdict(PARENT, change, "lower", 0.25) == "no regression"
+
+
+def test_no_gain_when_the_change_fails_a_larger_share_of_operations():
+    change = _shifted(PARENT, 0.90)  # a gain on the timings alone
+    assert perf_pairs.verdict(PARENT, change, "lower", 0.25, failed=(0.0, 0.0)) == "gain"
+    assert perf_pairs.verdict(PARENT, change, "lower", 0.25, failed=(0.01, 0.01)) == "gain"
+    assert perf_pairs.verdict(PARENT, change, "lower", 0.25, failed=(0.0, 0.001)) == "no regression"
