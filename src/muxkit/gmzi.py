@@ -180,8 +180,8 @@ def cyclic_spec(factors, order: int | None = None) -> tuple[int, ...]:
     when it is given.  () is the trivial group, of order 1.
     """
     spec = tuple(factors)
-    ints = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in spec)
-    if not ints or order not in (None, math.prod(spec)):
+    check_int("cyclic factor", *spec)
+    if not all(n >= 1 for n in spec) or order not in (None, math.prod(spec)):
         at = "" if order is None else f" {order}"
         raise ValueError(f"cyclic factors must be ints >= 1 whose product is the group order{at}, got {spec}")
     return tuple(map(int, spec))

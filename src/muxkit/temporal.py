@@ -354,8 +354,7 @@ def spatiotemporal_debruijn(
 
 def _check_gather(modes: int, group_size: int, max_delay: int, max_crossing: int, max_groups: int | None) -> None:
     limits = (modes, group_size, max_delay, max_crossing) + (() if max_groups is None else (max_groups,))
-    if not all(isinstance(x, (int, np.integer)) for x in limits):
-        raise ValueError("modes, group_size and the extraction limits must be integers")
+    check_int("modes, group_size and each extraction limit", *limits)
     if not 1 <= group_size <= modes:
         raise ValueError("need 1 <= group_size <= modes")
     if max_delay < 0 or max_crossing < 0:
@@ -485,7 +484,8 @@ def simulate_group_extraction(
     _check_gather(modes, group_size, max_delay, max_crossing, max_groups)
     if max_groups is None:
         raise ValueError("max_groups must be an integer >= 1")
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
+    check_int("bins", bins)
+    if bins < 1:
         raise ValueError("bins must be an integer >= 1")
 
     def kernel(u: np.ndarray) -> np.ndarray:
